@@ -294,6 +294,9 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list) -> list:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_IO)
     except json.JSONDecodeError as exc:
         raise CliError(f"bad config JSON in {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path} must hold a JSON object, "
+                       f"not {type(cfg).__name__}")
     rest = argv[:idx] + argv[idx + 2:]
     if not rest:
         raise CliError("--config given without a subcommand")

@@ -13,11 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-# Tolerances used across the whole package (exact identities / linear-solve
-# agreement / truncated-series agreement).
+# Tolerance for exact identities checked in floating point.
 TOL_IDENTITY = 1e-12
-TOL_SOLVE = 1e-10
-TOL_SERIES = 1e-9
 
 
 class DegenerateDenominatorError(ValueError):
@@ -206,44 +203,60 @@ class StationaryDist:
         return self.mass[s]
 
 
-def _is_irreducible(rows: np.ndarray) -> bool:
-    adj = rows > 0.0
-    n = rows.shape[0]
-    reach = np.eye(n, dtype=bool) | adj
-    for _ in range(n):
-        reach = reach | (reach @ reach)
-    return bool(reach.all())
+def tree_weights(rows) -> tuple[float, float, float]:
+    """Markov-chain tree theorem weights of a 3-state chain.
+
+    w_i is the sum, over the three spanning trees directed into state i, of
+    the products of their off-diagonal entries, e.g.
+    w0 = m10*m20 + m12*m20 + m21*m10.  When their sum is positive the chain
+    has one closed class and w / sum(w) is its stationary law; the sum is 0
+    exactly when there are several closed classes.  Only off-diagonal
+    entries enter and nothing is subtracted, so each weight carries a
+    relative error of a few ulps however close the chain is to absorbing.
+    This is Grassmann-Taksar-Heyman elimination (Operations Research 33,
+    1985) written out for 3 states.
+    Entries that rounding left slightly negative count as 0.
+    """
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = np.maximum(rows, 0.0).tolist()
+    return (m10 * m20 + m12 * m20 + m21 * m10,
+            m01 * m21 + m02 * m21 + m20 * m01,
+            m02 * m12 + m01 * m12 + m10 * m02)
 
 
 def stationary_solve(chain: BoundaryChain,
                      tol: float = 1e-13,
                      max_iter: int = 10 ** 6) -> StationaryDist:
-    """Stationary distribution of the boundary chain.
+    """Stationary law of the boundary chain, or its limit from Star.
 
-    Irreducible chains are solved directly (nu M = nu, sum nu = 1).  Otherwise
-    the chain is power-iterated from the point mass on Star, matching the
-    all-? initial condition of the envelope.
+    Closed form, no iteration: nu = w / sum(w) with the tree weights w of
+    `tree_weights`.  With one closed class this is the unique stationary
+    law, which for a periodic class (e.g. 0 <-> 1) is the Cesaro limit.
+    With several closed classes (sum(w) = 0) it is the limit law of the
+    chain started at Star, matching the all-? initial condition of the
+    envelope:
+    - Star absorbing: the point mass on Star;
+    - Star in a closed pair {a, Star}: that pair's law, (m*a, ma*)
+      normalised;
+    - Star transient (0 and 1 absorbing): 0 and 1 in the ratio m*0 : m*1.
+
+    `tol` and `max_iter` are accepted for compatibility and do nothing.
     """
-    M = chain.rows
-    if _is_irreducible(M):
-        A = np.vstack([M.T - np.eye(3), np.ones(3)])
-        b = np.array([0.0, 0.0, 0.0, 1.0])
-        nu, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        nu = np.array([0.0, 0.0, 1.0])
-        for _ in range(max_iter):
-            nxt = nu @ M
-            if np.abs(nxt - nu).max() < tol:
-                nu = nxt
-                break
-            nu = nxt
+    w0, w1, w2 = tree_weights(chain.rows)
+    if w0 + w1 + w2 == 0.0:
+        (_, _, m02), (_, _, m12), (m20, m21, _) = \
+            np.maximum(chain.rows, 0.0).tolist()
+        if m20 == m21 == 0.0:
+            w0, w1, w2 = 0.0, 0.0, 1.0
+        elif m20 > 0.0 and m02 > 0.0:
+            w0, w1, w2 = m20, 0.0, m02
+        elif m21 > 0.0 and m12 > 0.0:
+            w0, w1, w2 = 0.0, m21, m12
         else:
-            raise RuntimeError("power iteration did not converge")
-    nu = np.clip(nu, 0.0, 1.0)
-    nu = nu / nu.sum()
-    return StationaryDist(mass={BState.ZERO: float(nu[0]),
-                                BState.ONE: float(nu[1]),
-                                BState.STAR: float(nu[2])})
+            w0, w1, w2 = m20, m21, 0.0
+    total = w0 + w1 + w2
+    return StationaryDist(mass={BState.ZERO: w0 / total,
+                                BState.ONE: w1 / total,
+                                BState.STAR: w2 / total})
 
 
 def favourable_state(d: DerivedParams, side: Side) -> BState:
@@ -408,14 +421,30 @@ def bisect_crossover(code: str, lo: float = 1e-9, hi: float = 0.5,
 # ---------------------------------------------------------------------------
 # Vectorised condition evaluation (used by the volume estimator).
 
+# Rows per slice of the batch kernel: its ~50 temporaries then take ~3 MiB
+# whatever the batch size, instead of ~360 B per row.
+_CHUNK_ROWS = 1 << 13
+
+
 def condition_holds_batch(quads: np.ndarray):
     """Evaluate the condition on an (n, 4) array of parameter quadruplets.
 
     Returns (holds, degenerate): boolean arrays.  Rows whose selected gamma
     cell has a zero denominator are flagged degenerate and reported as not
-    holding.
+    holding.  Rows are independent; they are evaluated in slices of
+    _CHUNK_ROWS to bound the memory of the temporaries.
     """
     P = np.asarray(quads, dtype=float)
+    holds = np.empty(len(P), dtype=bool)
+    degenerate = np.empty(len(P), dtype=bool)
+    for start in range(0, len(P), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        holds[rows], degenerate[rows] = _holds_chunk(P[rows])
+    return holds, degenerate
+
+
+def _holds_chunk(P: np.ndarray):
+    """condition_holds_batch on one slice of rows."""
     p00, p01, p10, p11 = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
     p = P.min(axis=1)
     q = 1.0 - P.max(axis=1)

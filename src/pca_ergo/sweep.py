@@ -89,6 +89,8 @@ def sweep_rows_from_csv(text: str) -> list:
     if header != SWEEP_FIELDS:
         raise ValueError(f"unexpected sweep header {header}")
     for rec in reader:
+        if not rec:
+            continue  # blank line, e.g. the newline the CLI prints last
         code, eps = rec[0], float(rec[1])
         if rec[2].startswith("error:"):
             rows.append(SweepRow(code=code, eps=eps, gamma0=math.nan,

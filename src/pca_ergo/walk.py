@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import BState, DerivedParams, Side, TOL_IDENTITY
+from .params import BState, DerivedParams, Side, TOL_IDENTITY, tree_weights
 
 
 @dataclass(frozen=True)
@@ -295,11 +295,17 @@ def marginal_chain(d: DerivedParams, side: Side) -> np.ndarray:
 
 
 def exact_simulated_drift(d: DerivedParams, side: Side) -> float:
-    """Stationary mean increment of the simulated (state, increment) chain."""
-    M = marginal_chain(d, side)
-    A = np.vstack([M.T - np.eye(3), np.ones(3)])
-    b = np.array([0.0, 0.0, 0.0, 1.0])
-    nu, *_ = np.linalg.lstsq(A, b, rcond=None)
+    """Stationary mean increment of the simulated (state, increment) chain.
+
+    The stationary law comes from the tree weights of the marginal chain;
+    ValueError when that chain has several closed classes, so no unique
+    stationary law.
+    """
+    w = tree_weights(marginal_chain(d, side))
+    total = sum(w)
+    if total == 0.0:
+        raise ValueError("marginal chain has several closed classes: "
+                         "no unique stationary law")
     means = [increment_law(d, side, s).mean()
              for s in (BState.ZERO, BState.ONE, BState.STAR)]
-    return float(np.dot(nu, means))
+    return sum(wi * m for wi, m in zip(w, means)) / total

@@ -4,6 +4,7 @@ import pytest
 
 from pca_ergo.cli import (DEFAULT_SEED, EXIT_BAD_INPUT, EXIT_DEGENERATE,
                           EXIT_IO, EXIT_OK, main)
+from pca_ergo.sweep import epsilon_sweep, sweep_rows_from_csv
 
 
 def run(capsys, *argv):
@@ -157,6 +158,9 @@ class TestSweepVolume:
         lines = out.strip().split("\n")
         assert lines[0].startswith("code,eps,")
         assert len(lines) == 5
+        # the output, trailing blank line included, parses back exactly
+        assert sweep_rows_from_csv(out) == epsilon_sweep(["0011", "1000"],
+                                                         [0.1, 0.2])
 
     def test_sweep_grid_validation(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0.0,0.1")
@@ -196,7 +200,76 @@ class TestConfigAndErrors:
                          "--out", str(tmp_path / "missing" / "x.json"))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", '"check"', "null"])
+    def test_config_must_be_an_object(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out, err = run(capsys, "--config", str(cfg), "check",
+                             "--ca", "0011", "--eps", "0.1")
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and "JSON object" in err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+# Malformed or extreme input for every subcommand: each must end in a
+# documented exit code, never in a traceback.
+MALFORMED = [
+    ("derive", "--params", "0.1,0.2"),
+    ("derive", "--params", "a,b,c,d"),
+    ("check", "--params", "nan,0,0,0"),
+    ("check", "--ca", "2222", "--eps", "0.1"),
+    ("check", "--ca", "0011", "--eps", "nan"),
+    ("check", "--params", "0.5,0.5,0.5,0.5", "--seed", "x"),
+    ("gamma", "--params", "0,0,1,1"),
+    ("gamma", "--params", "0,0,0,0.999999999"),
+    ("chain", "--params", "0,0,0,0.999999999"),
+    ("chain", "--params", "0,0,0,0.999999999", "--side", "left"),
+    ("chain", "--params", "0,1,0,1", "--side", "left"),
+    ("chain", "--params", "1e-9,1e-9,1e-9,1e-9", "--side", "up"),
+    ("drift", "--params", "0.4,0.4,0.4,0.4"),
+    ("drift", "--params", "0,1,0,1", "--mc-steps", "300"),
+    ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "5"),
+    ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "-5"),
+    ("island", "--params", "0.8,0.3,0.5,0.6", "--gap", "2"),
+    ("island", "--params", "0,1,0,1"),
+    ("island", "--params", "0.8,0.3,0.5,0.6", "--horizon", "-1"),
+    ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "-4"),
+    ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "0",
+     "--max-steps", "5"),
+    ("envelope", "--params", "0.5,0.5,0.5,0.5", "--cells", "8",
+     "--max-steps", "0"),
+    ("ca1000", "--eps", "0.5"),
+    ("ca1000", "--eps", "nan"),
+    ("ca1000", "--eps", "0.25", "--mc-steps", "5"),
+    ("ca1000",),
+    ("sweep", "--grid", "abc"),
+    ("sweep", "--grid", "nan"),
+    ("sweep", "--codes", "2222", "--grid", "0.1"),
+    ("volume", "--samples", "0"),
+    ("volume", "--samples", "10", "--seed", "-1"),
+    ("volume", "--samples", "10", "--format", "xml"),
+    ("--config",),
+    ("nosuch",),
+    (),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_cleanly(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_IO)
+    assert "Traceback" not in err
+
+
+def test_near_absorbing_chain_answers(capsys):
+    code, out, _ = run(capsys, "chain", "--params", "0,0,0,0.999999999")
+    assert code == EXIT_OK
+    assert json.loads(out)["stationary"] == {"0": 1.0, "1": 0.0, "*": 0.0}

@@ -10,8 +10,9 @@ from pca_ergo import (BState, DegenerateDenominatorError, ParamQuad, Side,
                       asymptotic_increment_bound, boundary_chain,
                       ca_with_error, condition_check, derive, flip_conjugate,
                       gamma_table, mean_increment, stationary_solve)
-from pca_ergo.params import (BoundaryChain, StationaryDist,
-                             condition_holds_batch, favourable_state)
+from pca_ergo.params import (BoundaryChain, StationaryDist, _CHUNK_ROWS,
+                             _holds_chunk, condition_holds_batch,
+                             favourable_state)
 
 from conftest import positive_quads, quads, random_quads
 
@@ -295,3 +296,14 @@ class TestBatchCondition:
         holds, degen = condition_holds_batch(
             np.array([[0.4, 0.4, 0.4, 0.4]]))
         assert holds[0] and not degen[0]
+
+    def test_slices_are_bit_identical_to_one_pass(self):
+        quads = random_quads(2 * _CHUNK_ROWS + 5, seed=43)
+        quads[:7] = [[0.0, 0.0, 1.0, 1.0], [0.4] * 4, [0.0] * 4, [1.0] * 4,
+                     [0.0, 1e-9, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.999999999]]
+        holds, degen = condition_holds_batch(quads)
+        one_holds, one_degen = _holds_chunk(quads)
+        assert np.array_equal(holds, one_holds)
+        assert np.array_equal(degen, one_degen)
+        assert degen[0] and holds[1]

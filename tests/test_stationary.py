@@ -1,0 +1,122 @@
+"""The closed-form stationary solve against an exact rational oracle.
+
+The oracle works in `Fraction`s and finds the limit law from Star by
+Gaussian elimination: the stationary law of each closed class, weighted by
+the probability of absorption into that class from Star.  It never uses the
+tree formula the solve is built on.
+"""
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pca_ergo import BState, ParamQuad, Side, boundary_chain, derive
+from pca_ergo.params import BoundaryChain, stationary_solve
+
+EDGE_VALUES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
+STAR = 2
+
+
+def _solve(A, b):
+    """x with A x = b, exact Gaussian elimination; A is non-singular."""
+    n = len(b)
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / M[col][col]
+                M[r] = [a - f * c for a, c in zip(M[r], M[col])]
+    return [M[k][n] / M[k][k] for k in range(n)]
+
+
+def exact_limit_from_star(rows):
+    """Exact limit law of the chain started at Star, as three Fractions.
+
+    The diagonal is 1 - sum(off-diagonal): float rows need not sum to 1
+    exactly, and only the off-diagonal rates define the chain's law.
+    """
+    m = [[Fraction(v) for v in row] for row in rows.tolist()]
+    for i in range(3):
+        m[i][i] = 1 - sum(m[i][j] for j in range(3) if j != i)
+    reach = [{i} for i in range(3)]
+    for _ in range(3):
+        reach = [set().union(*({j} | reach[j] for j in range(3) if m[i][j] > 0))
+                 | {i} for i in range(3)]
+    closed = {frozenset(reach[i]) for i in range(3)
+              if all(i in reach[j] for j in reach[i])}
+    transient = [i for i in range(3) if not any(i in c for c in closed)]
+    law = [Fraction(0)] * 3
+    for cls in closed:
+        states = sorted(cls)
+        # pi (M_C - I) = 0 with the last balance equation replaced by sum = 1
+        A = [[m[j][i] - (i == j) for j in states] for i in states[:-1]]
+        pi = _solve(A + [[Fraction(1)] * len(states)],
+                    [Fraction(0)] * (len(states) - 1) + [Fraction(1)])
+        if STAR in cls:
+            absorb = Fraction(1)
+        elif STAR in transient:
+            # h = M h on the transient states, h = 1 on cls, 0 elsewhere
+            h = _solve([[(i == j) - m[i][j] for j in transient] for i in transient],
+                       [sum(m[i][j] for j in cls) for i in transient])
+            absorb = h[transient.index(STAR)]
+        else:
+            absorb = Fraction(0)
+        for s, v in zip(states, pi):
+            law[s] += absorb * v
+    return law, len(closed)
+
+
+def _assert_matches(chain, law):
+    nu = stationary_solve(chain)
+    got = [nu[BState.ZERO], nu[BState.ONE], nu[BState.STAR]]
+    for g, want in zip(got, law):
+        if want == 0:
+            assert g == 0.0, (chain.rows, got, law)
+        else:
+            assert abs(Fraction(g) - want) <= Fraction(1e-14) * want, \
+                (chain.rows, got, [float(v) for v in law])
+
+
+def test_edge_lattice_matches_exact_oracle():
+    several_closed = 0
+    for quad in itertools.product(EDGE_VALUES, repeat=4):
+        d = derive(ParamQuad(*quad))
+        for side in Side:
+            chain = boundary_chain(d, side)
+            law, n_closed = exact_limit_from_star(chain.rows)
+            assert sum(law) == 1
+            several_closed += n_closed > 1
+            _assert_matches(chain, law)
+    assert several_closed == 52
+
+
+@pytest.mark.parametrize("rows", [
+    # periodic 0 <-> 1, Star transient: Cesaro limit (1/2, 1/2, 0)
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.2, 0.5]],
+    # periodic 3-cycle 0 -> 1 -> Star -> 0
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    # Star absorbing, 0 <-> 1 closed: point mass on Star
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    # closed pair {0, Star}, 1 absorbing
+    [[0.6, 0.0, 0.4], [0.0, 1.0, 0.0], [0.1, 0.0, 0.9]],
+    # closed pair {1, Star}, 0 absorbing
+    [[1.0, 0.0, 0.0], [0.0, 0.7, 0.3], [0.0, 0.25, 0.75]],
+    # Star transient between absorbing 0 and 1
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.125, 0.375, 0.5]],
+    # near-absorbing Star, one closed class
+    [[1.0 - 1e-9, 0.0, 1e-9], [0.0, 1.0 - 1e-9, 1e-9], [1e-18, 1e-18, 1.0 - 2e-18]],
+])
+def test_reducible_and_periodic_chains(rows):
+    chain = BoundaryChain(side=Side.RIGHT, rows=np.array(rows))
+    law, _ = exact_limit_from_star(chain.rows)
+    _assert_matches(chain, law)
+
+
+def test_iteration_keywords_are_accepted_and_inert():
+    chain = boundary_chain(derive(ParamQuad(0.0, 0.0, 0.0, 0.999999999)),
+                           Side.RIGHT)
+    assert (stationary_solve(chain, tol=1.0, max_iter=1).mass
+            == stationary_solve(chain).mass)

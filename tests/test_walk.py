@@ -230,6 +230,12 @@ class TestEmpiricalDrift:
         assert est.mean >= asymptotic_increment_bound(d, Side.RIGHT) \
             - 3 * est.stderr
 
+    def test_exact_drift_needs_a_unique_stationary_law(self):
+        # rule 0001 without errors: 0 and Star are both closed
+        d = derive(ca_with_error("0001", 0.0))
+        with pytest.raises(ValueError):
+            exact_simulated_drift(d, Side.RIGHT)
+
     def test_batch_means_requires_enough_samples(self):
         with pytest.raises(ValueError):
             batch_means_stderr(np.arange(10.0))
