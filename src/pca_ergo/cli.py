@@ -53,15 +53,18 @@ def _parse_quad(args) -> ParamQuad:
 
 
 def _emit(args, text: str) -> None:
+    """Write text, ending in exactly one newline, to --out or stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _side(name: str) -> Side:

@@ -8,12 +8,11 @@ ratio 2*eps.  All position arithmetic uses doubled integers, never floats.
 from __future__ import annotations
 
 import csv
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import AtomChain
 from .params import TOL_IDENTITY, Side
 from .walk import DriftEstimate, batch_means_stderr
 
@@ -173,64 +172,35 @@ def drift_for_1110(eps: float) -> float:
     return refined_drift_bound(eps)
 
 
-class _RefinedSampler:
-    def __init__(self, law: RefinedLaw):
-        self.law = law
-        self.cum = []
-        acc = 0.0
-        for _, _, p in law.head:
-            acc += p
-            self.cum.append(acc)
-        self.head_mass = acc
-        self.tail_cum = []
-        acc2 = 0.0
-        for _, _, w in law.tails:
-            acc2 += w
-            self.tail_cum.append(acc2)
-        self.tail_mass = acc2
-        self.log_ratio = math.log(law.ratio)
-
-    def draw(self, rng: np.random.Generator):
-        u = rng.random()
-        if u < self.head_mass:
-            dd, s, _ = self.law.head[bisect_right(self.cum, u)]
-            return dd, s
-        v = rng.random() * self.tail_mass
-        start, s, _ = self.law.tails[bisect_right(self.tail_cum, v)]
-        k = int(math.log(1.0 - rng.random()) / self.log_ratio)
-        return start + 2 * k, s
+# Law class of each reachable pair: S1 -> 0, {(0,0), (*,0)} -> 1.  (*,0)
+# gets the (0,0) law: the smaller-mean concrete case, keeping the simulated
+# drift a valid lower-bound companion.
+_CLASS = {**{pair: 0 for pair in S1}, STATE_00: 1, STATE_STAR0: 1}
 
 
-def _law_for(pair: str, law_s1: RefinedLaw, law_00: RefinedLaw) -> RefinedLaw:
-    if pair in S1:
-        return law_s1
-    if pair in (STATE_00, STATE_STAR0):
-        # (*,0) gets the (0,0) law: the smaller-mean concrete case,
-        # keeping the simulated drift a valid lower-bound companion.
-        return law_00
-    raise AssertionError(f"unreachable refined pair state {pair!r}")
+def _sampler(eps: float) -> AtomChain:
+    """The pair chain as an `AtomChain` on its two law classes; the `to`
+    labels are the classes, displacements are doubled integers."""
+    moves = []
+    for law in (refined_law_s1(eps), refined_law_00(eps)):
+        ms = [(dd, 0, _CLASS[s], _CLASS[s], p) for dd, s, p in law.head]
+        ms += [(start, 2, _CLASS[s], _CLASS[s], w / (1.0 - law.ratio))
+               for start, s, w in law.tails]
+        moves.append(ms)
+    return AtomChain(moves, 2.0 * eps)
 
 
 def simulate_refined(eps: float, steps: int, burn_in: int,
                      seed: int) -> DriftEstimate:
     """Monte Carlo stationary mean of the refined right-boundary increment.
 
-    Starts in (0,0), the worst-mean state.  Increments are accumulated as
+    The mean of `steps` increments of one chain started in (0,0), the
+    worst-mean state, after `burn_in` steps.  Increments are accumulated as
     doubled integers and halved only for reporting.
     """
     _check_eps(eps)
-    law_s1 = refined_law_s1(eps)
-    law_00 = refined_law_00(eps)
-    samplers = {s: _RefinedSampler(_law_for(s, law_s1, law_00))
-                for s in REACHABLE}
-    rng = np.random.default_rng(seed)
-    pair = STATE_00
-    for _ in range(burn_in):
-        _, pair = samplers[pair].draw(rng)
-    doubled = np.empty(steps, dtype=np.int64)
-    for t in range(steps):
-        dd, pair = samplers[pair].draw(rng)
-        doubled[t] = dd
+    doubled = _sampler(eps).sample(np.random.default_rng(seed),
+                                   _CLASS[STATE_00], steps, burn_in)
     incr = doubled / 2.0
     return DriftEstimate(mean=float(incr.mean()),
                          stderr=batch_means_stderr(incr),
@@ -238,24 +208,17 @@ def simulate_refined(eps: float, steps: int, burn_in: int,
 
 
 def exact_refined_drift(eps: float) -> float:
-    """Stationary mean of the simulated finite-state pair chain (oracle)."""
-    law_s1 = refined_law_s1(eps)
-    law_00 = refined_law_00(eps)
-    states = list(REACHABLE)
-    n = len(states)
-    M = np.zeros((n, n))
-    means = np.zeros(n)
-    for a, s in enumerate(states):
-        law = _law_for(s, law_s1, law_00)
-        marg = law.state_marginal()
-        for t, mass in marg.items():
-            M[a, states.index(t)] += mass
-        means[a] = law.mean()
-    A = np.vstack([M.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    nu, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return float(np.dot(nu, means))
+    """Stationary mean of the simulated pair chain (oracle).
+
+    The law of a step depends on the pair only through its class, so the
+    classes form a two-state chain: it leaves S1 with mass a (into (0,0)
+    and (*,0)) and enters S1 from (0,0) with mass b, and S1 has stationary
+    weight b / (a + b).
+    """
+    law_s1, law_00 = refined_law_s1(eps), refined_law_00(eps)
+    a = sum(m for s, m in law_s1.state_marginal().items() if _CLASS[s] == 1)
+    b = sum(m for s, m in law_00.state_marginal().items() if _CLASS[s] == 0)
+    return (b * law_s1.mean() + a * law_00.mean()) / (a + b)
 
 
 def sweep_to_csv(eps_grid: list, path: str, steps: int = 10 ** 5,

@@ -188,7 +188,7 @@ class RenewalSummary:
     runs: int
     threshold: int
     attempts: list          # per run; capped runs report the cap
-    total_steps: list       # per run
+    total_steps: list       # per run: island steps simulated, all attempts
     censored: int
     seed: int
 
@@ -208,6 +208,8 @@ def renewal_experiment(d, threshold: int, runs: int, seed: int,
                        horizon: int = 10 ** 4) -> RenewalSummary:
     """Spawn islands until one grows past a threshold gap; repeat per run.
 
+    Each island stops at death, at the horizon or at the first gap >=
+    threshold, so a run's total_steps counts the steps actually simulated.
     A run whose attempts exhaust the cap is recorded as censored, not as an
     error.
     """
@@ -221,9 +223,10 @@ def renewal_experiment(d, threshold: int, runs: int, seed: int,
         while attempts < attempt_cap:
             attempts += 1
             traj = simulate_island(d, n0=n0, horizon=horizon,
-                                   seed=int(rng.integers(2 ** 63)))
+                                   seed=int(rng.integers(2 ** 63)),
+                                   until_gap=threshold)
             total += traj[-1].t
-            if any(s.j - s.i >= threshold for s in traj):
+            if traj[-1].j - traj[-1].i >= threshold:
                 break
         else:
             censored += 1

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import BLOCK, AtomChain
 from .params import BState, DerivedParams, Side, TOL_IDENTITY, tree_weights
 
 
@@ -62,6 +63,12 @@ class IncrementLaw:
         return out
 
 
+def _worst_state(d: DerivedParams, side: Side) -> BState:
+    """The concrete state with the larger remainder r^(i): Star's stand-in."""
+    i = side.sup
+    return BState.ZERO if d.rr[i][0] >= d.rr[i][1] else BState.ONE
+
+
 def increment_law(d: DerivedParams, side: Side, y: BState) -> IncrementLaw:
     """Exact one-step law of a boundary, by known-state y.
 
@@ -71,9 +78,7 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> IncrementLaw:
     if d.r <= 0.0:
         raise ValueError("increment law requires r > 0")
     if y is BState.STAR:
-        i = side.sup
-        worst = BState.ZERO if d.rr[i][0] >= d.rr[i][1] else BState.ONE
-        law = increment_law(d, side, worst)
+        law = increment_law(d, side, _worst_state(d, side))
         return IncrementLaw(side=side, from_state=BState.STAR, head=law.head,
                             tail_start=law.tail_start, tail_step=law.tail_step,
                             ratio=law.ratio, tail_weights=law.tail_weights)
@@ -118,7 +123,11 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> IncrementLaw:
 
 
 def sample_increment(law: IncrementLaw, rng: np.random.Generator):
-    """One exact draw of (delta, new state) from a law."""
+    """One exact draw of (delta, new state) from a law.
+
+    A scalar draw that shares no code with `AtomChain`; the tests use it as
+    the independent reference for the vectorised sampler.
+    """
     u = rng.random()
     acc = 0.0
     for delta, s, prob in law.head:
@@ -142,41 +151,24 @@ def sample_increment(law: IncrementLaw, rng: np.random.Generator):
     return law.tail_start + law.tail_step * k, state
 
 
-class _LawSampler:
-    """Vectorisable cumulative-table sampler for one law."""
+def _sampler(d: DerivedParams, side: Side):
+    """The boundary's state chain as an `AtomChain`, and each state's class.
 
-    def __init__(self, law: IncrementLaw):
-        self.law = law
-        probs = [p for _, _, p in law.head]
-        self.cum = []
-        acc = 0.0
-        for p in probs:
-            acc += p
-            self.cum.append(acc)
-        self.head_mass = acc
-        weights = [(s, w) for s, w in law.tail_weights.items() if w > 0.0]
-        self.tail_states = [s for s, _ in weights]
-        self.tail_cum = []
-        acc2 = 0.0
-        for _, w in weights:
-            acc2 += w
-            self.tail_cum.append(acc2)
-        self.tail_mass = acc2
-        self.log_ratio = math.log(law.ratio) if law.ratio > 0.0 else None
-
-    def draw(self, rng: np.random.Generator):
-        u = rng.random()
-        if u < self.head_mass:
-            idx = bisect_right(self.cum, u)
-            delta, s, _ = self.law.head[idx]
-            return delta, s
-        v = rng.random() * self.tail_mass
-        s = self.tail_states[bisect_right(self.tail_cum, v)]
-        if self.log_ratio is None:
-            k = 0
-        else:
-            k = int(math.log(1.0 - rng.random()) / self.log_ratio)
-        return self.law.tail_start + self.law.tail_step * k, s
+    Class 0 carries the law from 0 and class 1 the law from 1; Star copies
+    the law of its worst-case concrete state, so it shares that class.  The
+    `to` labels are `BState` values.
+    """
+    cls = {BState.ZERO: 0, BState.ONE: 1,
+           BState.STAR: _worst_state(d, side).value}
+    moves = []
+    for y in (BState.ZERO, BState.ONE):
+        law = increment_law(d, side, y)
+        ms = [(delta, 0, s.value, cls[s], p) for delta, s, p in law.head]
+        ms += [(law.tail_start, law.tail_step, s.value, cls[s],
+                w / (1.0 - law.ratio))
+               for s, w in law.tail_weights.items() if w > 0.0]
+        moves.append(ms)
+    return AtomChain(moves, 1.0 - d.r), cls
 
 
 @dataclass
@@ -194,6 +186,25 @@ class IslandState:
         return self.j - self.i >= 3
 
 
+class Trajectory(Sequence):
+    """States of one island at t = 0, 1, ..., kept as arrays of boundary
+    positions and `BState` values; indexing builds the `IslandState`s."""
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, x: np.ndarray,
+                 y: np.ndarray):
+        self.i, self.j, self.x, self.y = i, j, x, y
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[t] for t in range(*k.indices(len(self)))]
+        t = range(len(self))[k]
+        return IslandState(t=t, i=int(self.i[t]), j=int(self.j[t]),
+                           x=BState(int(self.x[t])), y=BState(int(self.y[t])))
+
+
 def creation_states(d: DerivedParams, rng: np.random.Generator,
                     n: int = 2) -> list:
     """Boundary values at island creation: the envelope (?,?) outcome
@@ -206,11 +217,15 @@ def creation_states(d: DerivedParams, rng: np.random.Generator,
 
 
 def simulate_island(d: DerivedParams, n0: int, horizon: int,
-                    seed: int) -> list:
-    """Trajectory of one island started with gap n0, until death or horizon.
+                    seed: int, until_gap: int | None = None) -> Trajectory:
+    """Trajectory of one island started with gap n0, until death or horizon,
+    as a sequence of `IslandState`s.
 
     Death is the first time the gap j - i drops below 3, after which the
-    two boundaries are no longer independent.
+    two boundaries are no longer independent.  With until_gap set, the
+    trajectory also ends at the first state whose gap is >= until_gap.
+    Both boundaries are stepped in blocks of `chain.BLOCK` steps; the draws
+    after the last state are discarded.
     """
     if n0 < 3:
         raise ValueError("initial gap must be >= 3")
@@ -218,23 +233,30 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
         raise ValueError("island simulation requires r > 0")
     rng = np.random.default_rng(seed)
     x, y = creation_states(d, rng)
-    laws_left = {s: _LawSampler(increment_law(d, Side.LEFT, s)) for s in BState}
-    laws_right = {s: _LawSampler(increment_law(d, Side.RIGHT, s)) for s in BState}
-    i, j = 0, n0
-    traj = [IslandState(t=0, i=i, j=j, x=x, y=y)]
-    for t in range(1, horizon + 1):
-        di, x = laws_left[x].draw(rng)
-        dj, y = laws_right[y].draw(rng)
-        i += di
-        j += dj
-        state = IslandState(t=t, i=i, j=j, x=x, y=y)
-        traj.append(state)
-        if not state.alive:
-            break
-    return traj
+    pieces = [([0], [n0], np.int8([x.value]), np.int8([y.value]))]
+    left, cls_left = _sampler(d, Side.LEFT)
+    right, cls_right = _sampler(d, Side.RIGHT)
+    cx, cy = cls_left[x], cls_right[y]
+    t, i, j = 0, 0, n0
+    done = until_gap is not None and n0 >= until_gap
+    while t < horizon and not done:
+        n = min(BLOCK, horizon - t)
+        di, xs, cx = left.block(rng, cx, n)
+        dj, ys, cy = right.block(rng, cy, n)
+        ii = i + np.cumsum(di)
+        jj = j + np.cumsum(dj)
+        stop = jj - ii < 3
+        if until_gap is not None:
+            stop |= jj - ii >= until_gap
+        hit = np.flatnonzero(stop)
+        done = hit.size > 0
+        m = int(hit[0]) + 1 if done else n
+        pieces.append((ii[:m], jj[:m], xs[:m], ys[:m]))
+        t, i, j = t + m, int(ii[m - 1]), int(jj[m - 1])
+    return Trajectory(*(np.concatenate(p) for p in zip(*pieces)))
 
 
-def trajectory_to_csv(traj: list, path: str) -> None:
+def trajectory_to_csv(traj: Sequence, path: str) -> None:
     """Write a trajectory as CSV with columns t,i,j,x,y,alive."""
     try:
         with open(path, "w", newline="") as fh:
@@ -266,16 +288,11 @@ def batch_means_stderr(values: np.ndarray, n_batches: int = 100) -> float:
 
 def empirical_drift(d: DerivedParams, side: Side, steps: int, burn_in: int,
                     seed: int) -> DriftEstimate:
-    """Monte Carlo estimate of the stationary boundary drift."""
-    rng = np.random.default_rng(seed)
-    samplers = {s: _LawSampler(increment_law(d, side, s)) for s in BState}
-    state = BState.ZERO
-    increments = np.empty(steps, dtype=float)
-    for _ in range(burn_in):
-        _, state = samplers[state].draw(rng)
-    for t in range(steps):
-        delta, state = samplers[state].draw(rng)
-        increments[t] = delta
+    """Monte Carlo estimate of the stationary boundary drift: the mean of
+    `steps` increments of one chain started in 0, after `burn_in` steps."""
+    chain, cls = _sampler(d, side)
+    increments = chain.sample(np.random.default_rng(seed), cls[BState.ZERO],
+                              steps, burn_in).astype(float)
     return DriftEstimate(mean=float(increments.mean()),
                          stderr=batch_means_stderr(increments),
                          steps=steps, seed=seed)

@@ -1,0 +1,114 @@
+"""The vectorised atom-chain sampler against the exact laws it samples.
+
+`walk.sample_increment` stays the scalar reference draw (tests/test_walk.py);
+here the block sampler is checked directly: per from-state, the moves a long
+chain makes from that state are i.i.d. draws of its law, so their (delta,
+to) frequencies must lie in the law's multinomial bands.
+"""
+import numpy as np
+import pytest
+
+from pca_ergo import BState, ParamQuad, Side, derive
+from pca_ergo import refined, walk
+from pca_ergo.chain import BLOCK, AtomChain, _class_path
+
+FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
+N_DRAWS = 10 ** 6
+MAX_DELTA = 12      # keys checked: |delta| <= MAX_DELTA, so k <= MAX_DELTA
+
+
+def chain_moves(chain, c0, from0, seed):
+    """N_DRAWS steps of one chain: (from-label, delta, to-label) arrays."""
+    rng = np.random.default_rng(seed)
+    deltas, tos, c = [], [], c0
+    for _ in range(N_DRAWS // BLOCK):
+        delta, to, c = chain.block(rng, c, BLOCK)
+        deltas.append(delta)
+        tos.append(to)
+    to = np.concatenate(tos)
+    return np.concatenate(([from0], to[:-1])), np.concatenate(deltas), to
+
+
+def assert_within_bands(delta, to, probs):
+    """Multinomial bands: each key's frequency within 4 sigma of its law
+    probability, and no key outside the law (keys with |delta| <= MAX_DELTA,
+    whose tail terms are all in probs)."""
+    n = len(delta)
+    keys, counts = np.unique(np.stack([delta, to]), axis=1, return_counts=True)
+    seen = {(int(k0), int(k1)): int(c) for k0, k1, c in zip(*keys, counts)}
+    assert not [k for k in seen if k not in probs and abs(k[0]) <= MAX_DELTA]
+    for key, p in probs.items():
+        if abs(key[0]) > MAX_DELTA:
+            continue
+        sigma = np.sqrt(p * (1 - p) / n)
+        assert abs(seen.get(key, 0) / n - p) <= 4 * sigma + 1e-9, key
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_walk_moves_within_multinomial_bands(side):
+    d = derive(FIG1)
+    chain, cls = walk._sampler(d, side)
+    frm, delta, to = chain_moves(chain, cls[BState.ZERO], BState.ZERO.value,
+                                 seed=101 + side.value)
+    for s in BState:
+        mask = frm == s.value
+        assert mask.sum() > 10 ** 4, s
+        law = walk.increment_law(d, side, s)
+        probs = {}
+        for dd, t, p in law.head:
+            probs[dd, t.value] = probs.get((dd, t.value), 0.0) + p
+        for t, w in law.tail_weights.items():
+            for k in range(MAX_DELTA + 1):
+                key = (law.tail_start + law.tail_step * k, t.value)
+                probs[key] = probs.get(key, 0.0) + w * law.ratio ** k
+        assert_within_bands(delta[mask], to[mask], probs)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_refined_moves_within_multinomial_bands(eps):
+    chain = refined._sampler(eps)
+    frm, delta, to = chain_moves(chain, 1, 1, seed=int(eps * 1000))
+    for c, law in ((0, refined.refined_law_s1(eps)),
+                   (1, refined.refined_law_00(eps))):
+        mask = frm == c
+        assert mask.sum() > 10 ** 5, c
+        probs = {}
+        for dd, pair, p in law.head:
+            key = (dd, refined._CLASS[pair])
+            probs[key] = probs.get(key, 0.0) + p
+        for start, pair, w in law.tails:
+            for k in range(MAX_DELTA + 1):
+                key = (start + 2 * k, refined._CLASS[pair])
+                probs[key] = probs.get(key, 0.0) + w * law.ratio ** k
+        assert_within_bands(delta[mask], to[mask], probs)
+
+
+def test_class_path_matches_step_by_step_loop():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 300):
+        for _ in range(50):
+            next0 = rng.random(n) < rng.random()
+            next1 = rng.random(n) < rng.random()
+            for c0 in (0, 1):
+                want, c = [], c0
+                for t in range(n):
+                    want.append(c)
+                    c = int(next1[t] if c else next0[t])
+                assert _class_path(c0, next0, next1).tolist() == want
+
+
+def test_burn_in_is_the_head_of_the_same_chain():
+    chain, cls = walk._sampler(derive(FIG1), Side.RIGHT)
+    c0 = cls[BState.ZERO]
+    for steps, burn_in in ((3000, 0), (1500, 700), (10, BLOCK), (1, 1)):
+        whole = chain.sample(np.random.default_rng(9), c0, burn_in + steps)
+        tail = chain.sample(np.random.default_rng(9), c0, steps, burn_in)
+        assert len(tail) == steps
+        assert np.array_equal(tail, whole[burn_in:])
+
+
+def test_rejects_bad_chains():
+    with pytest.raises(ValueError):
+        AtomChain([[(0, 0, 0, 0, 1.0)]], 0.5)
+    with pytest.raises(ValueError):
+        AtomChain([[(0, 0, 0, 0, 1.0)]] * 2, 1.0)

@@ -158,9 +158,21 @@ class TestSweepVolume:
         lines = out.strip().split("\n")
         assert lines[0].startswith("code,eps,")
         assert len(lines) == 5
-        # the output, trailing blank line included, parses back exactly
+        # the output parses back exactly
         assert sweep_rows_from_csv(out) == epsilon_sweep(["0011", "1000"],
                                                          [0.1, 0.2])
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--codes", "0011,1000", "--grid", "0.1,0.2"),
+        ("volume", "--samples", "1000", "--format", "csv"),
+        ("volume", "--samples", "1000"),
+    ])
+    def test_stdout_bytes_equal_out_file(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path))[0] == code == EXIT_OK
+        assert out.encode() == path.read_bytes()
+        assert out.endswith("\n") and not out.endswith("\n\n")
 
     def test_sweep_grid_validation(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0.0,0.1")

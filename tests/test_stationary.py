@@ -1,4 +1,4 @@
-"""The closed-form stationary solve against an exact rational oracle.
+"""The closed-form stationary solves against exact rational oracles.
 
 The oracle works in `Fraction`s and finds the limit law from Star by
 Gaussian elimination: the stationary law of each closed class, weighted by
@@ -13,6 +13,8 @@ import pytest
 
 from pca_ergo import BState, ParamQuad, Side, boundary_chain, derive
 from pca_ergo.params import BoundaryChain, stationary_solve
+from pca_ergo.refined import (REACHABLE, S1, exact_refined_drift,
+                              refined_law_00, refined_law_s1)
 
 EDGE_VALUES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
 STAR = 2
@@ -120,3 +122,33 @@ def test_iteration_keywords_are_accepted_and_inert():
                            Side.RIGHT)
     assert (stationary_solve(chain, tol=1.0, max_iter=1).mass
             == stationary_solve(chain).mass)
+
+
+def exact_refined_oracle(eps):
+    """Stationary mean of the six-state refined pair chain, in Fractions.
+
+    Built from the float law tables, diagonal 1 - sum(off-diagonal); also
+    returns the scale sum(nu_s * |mean_s|) that float rounding acts on.
+    """
+    laws = {pair: refined_law_s1(eps) if pair in S1 else refined_law_00(eps)
+            for pair in REACHABLE}
+    states = list(REACHABLE)
+    n = len(states)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for a, s in enumerate(states):
+        for t, mass in laws[s].state_marginal().items():
+            m[a][states.index(t)] += Fraction(mass)
+        m[a][a] = 1 - sum(m[a][b] for b in range(n) if b != a)
+    # nu (M - I) = 0 with the last balance equation replaced by sum = 1
+    A = [[m[j][i] - (i == j) for j in range(n)] for i in range(n - 1)]
+    nu = _solve(A + [[Fraction(1)] * n], [Fraction(0)] * (n - 1) + [Fraction(1)])
+    means = [Fraction(laws[s].mean()) for s in states]
+    return (sum(v * mu for v, mu in zip(nu, means)),
+            sum(v * abs(mu) for v, mu in zip(nu, means)))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05, 0.1, 0.17, 0.2, 0.25,
+                                 0.3, 0.4, 0.49, 0.499999])
+def test_refined_drift_matches_exact_pair_chain(eps):
+    want, scale = exact_refined_oracle(eps)
+    assert abs(Fraction(exact_refined_drift(eps)) - want) <= Fraction(1e-14) * scale

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pca_ergo import ParamQuad, ca_with_error, derive
+from pca_ergo import ParamQuad, ca_with_error, derive, walk
+from pca_ergo import sweep as sweep_module
 from pca_ergo.sweep import (ALL_CODES, SweepRow, epsilon_sweep,
                             renewal_experiment, sweep_rows_from_csv,
                             sweep_rows_to_csv, sweep_rows_to_json,
@@ -146,6 +147,29 @@ class TestRenewal:
                                      attempt_cap=5, horizon=300)
         assert summary.censored == 3
         assert all(a == 5 for a in summary.attempts)
+
+    def test_total_steps_are_the_simulated_steps(self, monkeypatch):
+        # total_steps counts the steps of every island a run simulated, and
+        # each island stops as soon as its gap reaches the threshold
+        trajs = []
+
+        def recording(*args, **kwargs):
+            traj = walk.simulate_island(*args, **kwargs)
+            trajs.append(traj)
+            return traj
+
+        monkeypatch.setattr(sweep_module, "simulate_island", recording)
+        d = derive(FIG1)
+        summary = renewal_experiment(d, threshold=20, runs=12, seed=31)
+        assert sum(summary.attempts) == len(trajs)
+        k = 0
+        for attempts, total in zip(summary.attempts, summary.total_steps):
+            run = trajs[k:k + attempts]
+            k += attempts
+            assert total == sum(len(t) - 1 for t in run)
+            assert run[-1][-1].j - run[-1][-1].i >= 20
+            for traj in run:
+                assert all(s.j - s.i < 20 for s in traj[:-1])
 
     def test_determinism(self):
         d = derive(FIG1)

@@ -103,6 +103,9 @@ class TestIncrementLaw:
 
 
 class TestSampler:
+    """The scalar `sample_increment` is the independent reference draw; the
+    vectorised chain sampler is checked in tests/test_chain.py."""
+
     def test_degenerate_single_atom(self):
         law = IncrementLaw(side=Side.RIGHT, from_state=BState.ZERO,
                            head=((3, BState.ONE, 1.0),),
@@ -166,6 +169,30 @@ class TestIsland:
                 assert traj[-1].j - traj[-1].i < 3
                 assert all(s.alive for s in traj[:-1])
         assert died
+
+    def test_stops_at_first_death_or_first_gap_reached(self):
+        # horizons past chain.BLOCK make islands cross block boundaries
+        other = ParamQuad(0.7, 0.2, 0.6, 0.3)
+        for quad, n0, until, horizon in ((FIG1, 3, None, 2500),
+                                         (FIG1, 3, 20, 600),
+                                         (FIG1, 10, 12, 600),
+                                         (other, 4, None, 2500),
+                                         (other, 4, 9, 600)):
+            d = derive(quad)
+            for seed in range(40):
+                traj = simulate_island(d, n0=n0, horizon=horizon, seed=seed,
+                                       until_gap=until)
+                reached = [until is not None and s.j - s.i >= until
+                           for s in traj]
+                assert all(s.alive for s in traj[:-1])
+                assert not any(reached[:-1])
+                last = traj[-1]
+                assert not last.alive or reached[-1] or last.t == horizon
+
+    def test_until_gap_at_or_below_start_stops_at_once(self):
+        traj = simulate_island(derive(FIG1), n0=8, horizon=100, seed=3,
+                               until_gap=8)
+        assert len(traj) == 1 and traj[0].j - traj[0].i == 8
 
     def test_seed_determinism(self):
         d = derive(FIG1)
