@@ -206,7 +206,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    est = sweep.volume_estimate(args.samples, seed=args.seed, jobs=args.jobs)
+    est = sweep.volume_estimate(args.samples, seed=args.seed)
     text = (est.to_csv() if args.format == "csv"
             else json.dumps(est.to_dict(), indent=2))
     _emit(args, text)
@@ -272,12 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--codes", help="comma-separated codes (default: all 16)")
     sp.add_argument("--grid", default="0.01,0.05,0.1,0.2,0.3,0.4,0.5")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--jobs", type=int, default=1)
 
     sp = add("volume", cmd_volume, "Monte Carlo volume of the condition region")
     sp.add_argument("--samples", type=int, default=10 ** 6)
     sp.add_argument("--format", choices=["csv", "json"], default="json")
-    sp.add_argument("--jobs", type=int, default=1)
     return ap
 
 

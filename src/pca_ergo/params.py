@@ -1,8 +1,11 @@
 """Analytic layer: derived quantities, boundary-state chain, gamma closed forms
 and the ergodicity condition for two-neighbour binary PCA.
 
-All functions here are pure and operate on plain floats / small dataclasses.
-A vectorised condition evaluator over numpy arrays is provided for sweeps.
+The condition's formulas are written once: the derived quantities
+(`_derived`), the six closed-form gamma cells (`_GAMMA_CELLS`) and the
+right-hand side (`_rhs`).  Two drivers run them: the scalar API (`derive`,
+`gamma_table`, `condition_check`) on plain floats and small dataclasses, and
+`condition_holds_batch` on numpy columns, for sweeps.
 """
 from __future__ import annotations
 
@@ -133,40 +136,39 @@ class DerivedParams:
         return (Q, P, 1.0 - Q - P)
 
 
+def _grid(f):
+    """The per-side table ((f(0, 0), f(0, 1)), (f(1, 0), f(1, 1))), [i][x]."""
+    return ((f(0, 0), f(0, 1)), (f(1, 0), f(1, 1)))
+
+
+def _derived(p00, p01, p10, p11, lo, hi):
+    """The derived-quantity formulas, on floats or elementwise on columns.
+
+    `lo`/`hi` take the smaller/larger of two values: `min`/`max` on floats,
+    `np.minimum`/`np.maximum` on arrays.  Returns the fields of
+    `DerivedParams` after `quad`: (p, q, r, pp, qq, rr, PP, QQ, RR).
+    """
+    p = lo(lo(p00, p01), lo(p10, p11))
+    q = 1.0 - hi(hi(p00, p01), hi(p10, p11))
+    r = 1.0 - p - q
+    # i = 0: left parent known to be x, right parent free;
+    # i = 1: right parent known to be x, left parent free.
+    pairs = (((p00, p01), (p10, p11)), ((p00, p10), (p01, p11)))
+    pp = _grid(lambda i, x: lo(*pairs[i][x]))
+    qq = _grid(lambda i, x: 1.0 - hi(*pairs[i][x]))
+    rr = _grid(lambda i, x: 1.0 - pp[i][x] - qq[i][x])
+    # P^(i)_x from pp and p, Q^(i)_x from qq and q, by one formula.
+    mix = lambda m, whole: _grid(
+        lambda i, x: r * m[i][x] + (1.0 - rr[i][x]) * whole + rr[i][x] * m[1 - i][x])
+    PP = mix(pp, p)
+    QQ = mix(qq, q)
+    RR = (rr[0][0] * rr[1][0], rr[0][1] * rr[1][1])
+    return p, q, r, pp, qq, rr, PP, QQ, RR
+
+
 def derive(quad: ParamQuad) -> DerivedParams:
     """Compute every derived quantity of a parameter quadruplet."""
-    t = quad.as_tuple()
-    p = min(t)
-    q = 1.0 - max(t)
-    r = 1.0 - p - q
-
-    pp = [[0.0, 0.0], [0.0, 0.0]]
-    qq = [[0.0, 0.0], [0.0, 0.0]]
-    rr = [[0.0, 0.0], [0.0, 0.0]]
-    for x in (0, 1):
-        # i = 0: left parent known to be x, right parent free.
-        row = (quad.p(x, 0), quad.p(x, 1))
-        pp[0][x] = min(row)
-        qq[0][x] = 1.0 - max(row)
-        rr[0][x] = 1.0 - pp[0][x] - qq[0][x]
-        # i = 1: right parent known to be x, left parent free.
-        col = (quad.p(0, x), quad.p(1, x))
-        pp[1][x] = min(col)
-        qq[1][x] = 1.0 - max(col)
-        rr[1][x] = 1.0 - pp[1][x] - qq[1][x]
-
-    PP = [[0.0, 0.0], [0.0, 0.0]]
-    QQ = [[0.0, 0.0], [0.0, 0.0]]
-    for i in (0, 1):
-        for x in (0, 1):
-            PP[i][x] = r * pp[i][x] + (1.0 - rr[i][x]) * p + rr[i][x] * pp[1 - i][x]
-            QQ[i][x] = r * qq[i][x] + (1.0 - rr[i][x]) * q + rr[i][x] * qq[1 - i][x]
-    RR = (rr[0][0] * rr[1][0], rr[0][1] * rr[1][1])
-
-    as_t = lambda m: (tuple(m[0]), tuple(m[1]))
-    return DerivedParams(quad=quad, p=p, q=q, r=r,
-                         pp=as_t(pp), qq=as_t(qq), rr=as_t(rr),
-                         PP=as_t(PP), QQ=as_t(QQ), RR=RR)
+    return DerivedParams(quad, *_derived(*quad.as_tuple(), min, max))
 
 
 @dataclass(frozen=True)
@@ -261,8 +263,41 @@ def stationary_solve(chain: BoundaryChain,
 
 def favourable_state(d: DerivedParams, side: Side) -> BState:
     """The boundary value w with the smaller r^(i)_w (ties -> Zero)."""
-    i = side.sup
-    return BState.ZERO if d.rr[i][0] <= d.rr[i][1] else BState.ONE
+    return _favourable(d.rr[side.sup])
+
+
+def _favourable(rri) -> BState:
+    """favourable_state from the side's (r^(i)_0, r^(i)_1)."""
+    return BState.ZERO if rri[0] <= rri[1] else BState.ONE
+
+
+# The six closed-form gamma cells of one side, as (favourable state, name,
+# applicable, (numerator, denominator)) over (Q0, Q1, P0, P1) =
+# (Q^(i)_0, Q^(i)_1, P^(i)_0, P^(i)_1), on floats or on columns; the cell's
+# gamma is numerator / denominator.  The three cells of a favourable state
+# are in order of precedence and between them cover every (Q, P).
+_GAMMA_CELLS = (
+    (BState.ZERO, "w0/Q1<=Q0",
+     lambda Q0, Q1, P0, P1: Q1 <= Q0,
+     lambda Q0, Q1, P0, P1: (Q1, 1.0 - (Q0 - Q1))),
+    (BState.ZERO, "w0/Q1>=Q0,P0<=P1",
+     lambda Q0, Q1, P0, P1: (Q1 >= Q0) & (P0 <= P1),
+     lambda Q0, Q1, P0, P1: (Q1 * P0 + Q0 * (1.0 - P1), 1.0 - (P1 - P0))),
+    (BState.ZERO, "w0/Q1>=Q0,P0>=P1",
+     lambda Q0, Q1, P0, P1: (Q1 >= Q0) & (P0 >= P1),
+     lambda Q0, Q1, P0, P1: (Q0 + P1 * (Q1 - Q0),
+                             1.0 - (Q1 - Q0) * (P0 - P1))),
+    (BState.ONE, "w1/P0<=P1",
+     lambda Q0, Q1, P0, P1: P0 <= P1,
+     lambda Q0, Q1, P0, P1: (P0, 1.0 - (P1 - P0))),
+    (BState.ONE, "w1/P0>=P1,Q1<=Q0",
+     lambda Q0, Q1, P0, P1: (P0 >= P1) & (Q1 <= Q0),
+     lambda Q0, Q1, P0, P1: (P0 * Q1 + P1 * (1.0 - Q0), 1.0 - (Q0 - Q1))),
+    (BState.ONE, "w1/P0>=P1,Q1>=Q0",
+     lambda Q0, Q1, P0, P1: (P0 >= P1) & (Q1 >= Q0),
+     lambda Q0, Q1, P0, P1: (P1 + Q0 * (P0 - P1),
+                             1.0 - (Q1 - Q0) * (P0 - P1))),
+)
 
 
 def gamma_table(d: DerivedParams, side: Side) -> float:
@@ -274,38 +309,15 @@ def gamma_table(d: DerivedParams, side: Side) -> float:
     asserted and the first is returned.
     """
     i = side.sup
-    Q0, Q1 = d.QQ[i][0], d.QQ[i][1]
-    P0, P1 = d.PP[i][0], d.PP[i][1]
-
-    candidates: list[tuple[str, float, float]] = []  # (cell, numerator, denominator)
-    if d.rr[i][0] <= d.rr[i][1]:
-        # favourable state is 0
-        if Q1 <= Q0:
-            candidates.append(("w0/Q1<=Q0", Q1, 1.0 - (Q0 - Q1)))
-        if Q1 >= Q0 and P0 <= P1:
-            candidates.append(("w0/Q1>=Q0,P0<=P1",
-                               Q1 * P0 + Q0 * (1.0 - P1), 1.0 - (P1 - P0)))
-        if Q1 >= Q0 and P0 >= P1:
-            candidates.append(("w0/Q1>=Q0,P0>=P1",
-                               Q0 + P1 * (Q1 - Q0),
-                               1.0 - (Q1 - Q0) * (P0 - P1)))
-    else:
-        # favourable state is 1
-        if P0 <= P1:
-            candidates.append(("w1/P0<=P1", P0, 1.0 - (P1 - P0)))
-        if P0 >= P1 and Q1 <= Q0:
-            candidates.append(("w1/P0>=P1,Q1<=Q0",
-                               P0 * Q1 + P1 * (1.0 - Q0), 1.0 - (Q0 - Q1)))
-        if P0 >= P1 and Q1 >= Q0:
-            candidates.append(("w1/P0>=P1,Q1>=Q0",
-                               P1 + Q0 * (P0 - P1),
-                               1.0 - (Q1 - Q0) * (P0 - P1)))
-
+    w = _favourable(d.rr[i])
+    QP = (d.QQ[i][0], d.QQ[i][1], d.PP[i][0], d.PP[i][1])
     values = []
-    for cell, num, den in candidates:
-        if den == 0.0:
-            raise DegenerateDenominatorError(cell)
-        values.append(num / den)
+    for state, cell, applies, fraction in _GAMMA_CELLS:
+        if state is w and applies(*QP):
+            num, den = fraction(*QP)
+            if den == 0.0:
+                raise DegenerateDenominatorError(cell)
+            values.append(num / den)
     first = values[0]
     for v in values[1:]:
         if abs(v - first) > TOL_IDENTITY:
@@ -340,8 +352,12 @@ def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
     """
     if d.r <= 0.0:
         raise ZeroDivisionError("asymptotic bound undefined when r = 0")
+    return _increment_bound(d, side, gamma_table(d, side))
+
+
+def _increment_bound(d: DerivedParams, side: Side, gamma: float) -> float:
+    """asymptotic_increment_bound given the side's gamma (and r > 0)."""
     i = side.sup
-    gamma = gamma_table(d, side)
     lo = min(d.rr[i][0], d.rr[i][1])
     gap = abs(d.rr[i][0] - d.rr[i][1])
     weighted = lo + (1.0 - gamma) * gap
@@ -378,6 +394,12 @@ class ConditionReport:
         return json.dumps(self.to_dict())
 
 
+def _rhs(rr, gamma0, gamma1, lo):
+    """Right-hand side of the condition 2 - r > rhs; `lo` as in `_derived`."""
+    return (lo(rr[0][0], rr[0][1]) + (1.0 - gamma0) * abs(rr[0][0] - rr[0][1])
+            + lo(rr[1][0], rr[1][1]) + (1.0 - gamma1) * abs(rr[1][0] - rr[1][1]))
+
+
 def condition_check(d: DerivedParams) -> ConditionReport:
     """Evaluate the sufficient ergodicity condition 2 - r > rhs."""
     w0 = favourable_state(d, Side.RIGHT)
@@ -390,12 +412,9 @@ def condition_check(d: DerivedParams) -> ConditionReport:
     gamma0 = gamma_table(d, Side.RIGHT)
     gamma1 = gamma_table(d, Side.LEFT)
     lhs = 2.0 - d.r
-    rhs = (min(d.rr[0][0], d.rr[0][1])
-           + (1.0 - gamma0) * abs(d.rr[0][0] - d.rr[0][1])
-           + min(d.rr[1][0], d.rr[1][1])
-           + (1.0 - gamma1) * abs(d.rr[1][0] - d.rr[1][1]))
-    drift = (asymptotic_increment_bound(d, Side.RIGHT)
-             - asymptotic_increment_bound(d, Side.LEFT))
+    rhs = _rhs(d.rr, gamma0, gamma1, min)
+    drift = (_increment_bound(d, Side.RIGHT, gamma0)
+             - _increment_bound(d, Side.LEFT, gamma1))
     return ConditionReport(gamma0=gamma0, gamma1=gamma1, lhs=lhs, rhs=rhs,
                            holds=lhs > rhs, w0=w0, w1=w1, drift_bound=drift)
 
@@ -445,63 +464,22 @@ def condition_holds_batch(quads: np.ndarray):
 
 def _holds_chunk(P: np.ndarray):
     """condition_holds_batch on one slice of rows."""
-    p00, p01, p10, p11 = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-    p = P.min(axis=1)
-    q = 1.0 - P.max(axis=1)
-    r = 1.0 - p - q
-
-    def side_quants(a, b, c, e):
-        # per-side rows (a,b) and (c,e): known parent 0 resp. 1
-        p_0 = np.minimum(a, b)
-        q_0 = 1.0 - np.maximum(a, b)
-        r_0 = 1.0 - p_0 - q_0
-        p_1 = np.minimum(c, e)
-        q_1 = 1.0 - np.maximum(c, e)
-        r_1 = 1.0 - p_1 - q_1
-        return (p_0, q_0, r_0), (p_1, q_1, r_1)
-
-    s0 = side_quants(p00, p01, p10, p11)   # superscript (0)
-    s1 = side_quants(p00, p10, p01, p11)   # superscript (1)
-
-    pp = np.empty((2, 2, len(P)))
-    qq = np.empty_like(pp)
-    rr = np.empty_like(pp)
-    for i, s in ((0, s0), (1, s1)):
-        for x in (0, 1):
-            pp[i, x], qq[i, x], rr[i, x] = s[x]
-
-    PP = np.empty_like(pp)
-    QQ = np.empty_like(pp)
-    for i in (0, 1):
-        for x in (0, 1):
-            PP[i, x] = r * pp[i, x] + (1.0 - rr[i, x]) * p + rr[i, x] * pp[1 - i, x]
-            QQ[i, x] = r * qq[i, x] + (1.0 - rr[i, x]) * q + rr[i, x] * qq[1 - i, x]
-
-    def gamma_vec(Q0, Q1, P0, P1, r0, r1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dA = 1.0 - (Q0 - Q1)
-            dB = 1.0 - (P1 - P0)
-            dC = 1.0 - (Q1 - Q0) * (P0 - P1)
-            top = np.where(Q1 <= Q0, Q1 / dA,
-                           np.where(P0 <= P1,
-                                    (Q1 * P0 + Q0 * (1.0 - P1)) / dB,
-                                    (Q0 + P1 * (Q1 - Q0)) / dC))
-            top_den = np.where(Q1 <= Q0, dA, np.where(P0 <= P1, dB, dC))
-            bot = np.where(P0 <= P1, P0 / dB,
-                           np.where(Q1 <= Q0,
-                                    (P0 * Q1 + P1 * (1.0 - Q0)) / dA,
-                                    (P1 + Q0 * (P0 - P1)) / dC))
-            bot_den = np.where(P0 <= P1, dB, np.where(Q1 <= Q0, dA, dC))
-        wtop = r0 <= r1
-        return (np.where(wtop, top, bot), np.where(wtop, top_den, bot_den))
-
-    g0, den0 = gamma_vec(QQ[0, 0], QQ[0, 1], PP[0, 0], PP[0, 1], rr[0, 0], rr[0, 1])
-    g1, den1 = gamma_vec(QQ[1, 0], QQ[1, 1], PP[1, 0], PP[1, 1], rr[1, 0], rr[1, 1])
-
-    lhs = 2.0 - r
-    rhs = (np.minimum(rr[0, 0], rr[0, 1]) + (1.0 - g0) * np.abs(rr[0, 0] - rr[0, 1])
-           + np.minimum(rr[1, 0], rr[1, 1]) + (1.0 - g1) * np.abs(rr[1, 0] - rr[1, 1]))
+    _, _, r, _, _, rr, PP, QQ, _ = _derived(*P.T, np.minimum, np.maximum)
+    g0, den0 = _gamma_batch(QQ[0], PP[0], rr[0])
+    g1, den1 = _gamma_batch(QQ[1], PP[1], rr[1])
     degenerate = ((den0 == 0.0) | (den1 == 0.0)) & (r > 0.0)
-    holds = np.where(r == 0.0, True, lhs > rhs)
-    holds = holds & ~degenerate
-    return holds, degenerate
+    holds = np.where(r == 0.0, True, 2.0 - r > _rhs(rr, g0, g1, np.minimum))
+    return holds & ~degenerate, degenerate
+
+
+def _gamma_batch(QQi, PPi, rri):
+    """Per row of one side: gamma of its first applicable cell, and that
+    cell's denominator (the favourable state as in `favourable_state`)."""
+    QP = (QQi[0], QQi[1], PPi[0], PPi[1])
+    zero = rri[0] <= rri[1]
+    first = np.argmax([(zero if state is BState.ZERO else ~zero) & applies(*QP)
+                       for state, _, applies, _ in _GAMMA_CELLS], axis=0)
+    nums, dens = zip(*(fraction(*QP) for *_, fraction in _GAMMA_CELLS))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.choose(first, [n / d for n, d in zip(nums, dens)])
+    return gamma, np.choose(first, dens)

@@ -167,11 +167,6 @@ def refined_drift_bound(eps: float) -> float:
     return bound
 
 
-def drift_for_1110(eps: float) -> float:
-    """Same bound for the bit-flip conjugate rule 1110."""
-    return refined_drift_bound(eps)
-
-
 # Law class of each reachable pair: S1 -> 0, {(0,0), (*,0)} -> 1.  (*,0)
 # gets the (0,0) law: the smaller-mean concrete case, keeping the simulated
 # drift a valid lower-bound companion.

