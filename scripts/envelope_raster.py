@@ -7,8 +7,7 @@ cap), writing the raster plus the per-step ?-density as CSV.
 import argparse
 
 from pca_ergo import ParamQuad, ca_with_error, derive
-from pca_ergo.envelope import (density_to_csv, raster, run_envelope_series,
-                               run_to_decorrelation, write_pgm)
+from pca_ergo.envelope import density_to_csv, run_with_raster, write_pgm
 
 
 def main():
@@ -29,18 +28,16 @@ def main():
     else:
         quad = ParamQuad(*(float(v) for v in args.params.split(",")))
     d = derive(quad)
-    hit, density = run_to_decorrelation(d, n=args.cells,
+    hit, density, ras = run_with_raster(d, n=args.cells,
                                         max_steps=args.max_steps,
                                         seed=args.seed)
-    steps = hit if hit is not None else args.max_steps
-    series = run_envelope_series(d, n=args.cells, steps=steps, seed=args.seed)
-    write_pgm(raster(series), args.pgm)
+    write_pgm(ras, args.pgm)
     density_to_csv(density, args.csv)
     if hit is None:
         print(f"?-region still alive after {args.max_steps} steps")
     else:
         print(f"?-region extinct after {hit} steps")
-    print(f"wrote {args.pgm} ({len(series)}x{args.cells}) and {args.csv}")
+    print(f"wrote {args.pgm} ({len(ras.data)}x{args.cells}) and {args.csv}")
 
 
 if __name__ == "__main__":

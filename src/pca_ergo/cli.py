@@ -151,18 +151,15 @@ def cmd_island(args) -> int:
 
 def cmd_envelope(args) -> int:
     d = derive(_parse_quad(args))
-    hit, density = env.run_to_decorrelation(d, n=args.cells,
-                                            max_steps=args.max_steps,
-                                            seed=args.seed)
+    size = dict(n=args.cells, max_steps=args.max_steps, seed=args.seed)
     if args.pgm:
-        series = env.run_envelope_series(
-            d, n=args.cells,
-            steps=hit if hit is not None else args.max_steps,
-            seed=args.seed)
+        hit, density, ras = env.run_with_raster(d, **size)
         try:
-            env.write_pgm(env.raster(series), args.pgm)
+            env.write_pgm(ras, args.pgm)
         except OSError as exc:
             raise CliError(str(exc), EXIT_IO) from exc
+    else:
+        hit, density = env.run_to_decorrelation(d, **size)
     if args.out:
         try:
             env.density_to_csv(density, args.out)

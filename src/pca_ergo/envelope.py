@@ -3,19 +3,28 @@
 Cells take values 0, 1 or ? (? = still depends on the initial condition).
 A single uniform per cell drives the three coupled processes through
 nested thresholds, which realises the envelope transition table and the
-dominance property simultaneously.
+dominance property simultaneously.  Every ring steps through one kernel: a
+flat 9-entry threshold table per parameter set, indexed by 3 * left + right
+parent, and a count of the thresholds the cell's uniform passes.
 """
 from __future__ import annotations
 
+import functools
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams, ParamQuad, derive
+from .params import DerivedParams, ParamQuad
 
 Q = 2  # cell code for ?; 0 and 1 are themselves
 
 _BYTE_MAP = np.array([255, 0, 128], dtype=np.uint8)  # cell 0/1/? -> byte
+_COUNT_CELL = np.array([1, Q, 0], dtype=np.int8)     # thresholds passed -> cell
+_KNOWN = [0, 1, 3, 4]   # 3 * left + right for parents 00, 01, 10, 11
+_WORD = (1 << 64) - 1
+_local = threading.local()                           # one generator per thread
 
 
 @dataclass
@@ -35,7 +44,7 @@ class RingState:
         return len(self.cells)
 
     def q_count(self) -> int:
-        return int((self.cells == Q).sum())
+        return int(np.count_nonzero(self.cells == Q))
 
 
 def all_q_ring(n: int) -> RingState:
@@ -45,56 +54,100 @@ def all_q_ring(n: int) -> RingState:
 def step_uniforms(seed: int, step: int, n: int) -> np.ndarray:
     """Per-(step, cell) uniforms from a counter-based stream.
 
-    The stream is keyed by the run seed with the step index in the counter,
-    so the draw for a cell does not depend on how a step is split up.
+    The stream is Philox4x64-10 keyed by the run seed (an integer in
+    [0, 2**128)) with the step index (an integer in [0, 2**63)) in the top
+    counter word, so the draw for a cell does not depend on how a step is
+    split up.  Each thread keeps one generator and resets its state per
+    call, with an empty output buffer so no word carries over between
+    calls; the bits are those of a fresh
+    ``np.random.Philox(key=seed, counter=[0, 0, 0, step])``.
     """
-    bg = np.random.Philox(key=seed, counter=[0, 0, 0, step])
-    return np.random.Generator(bg).random(n)
+    seed = _checked_int("seed", seed, 128)
+    step = _checked_int("step", step, 63)
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, step],
+                  "key": [seed & _WORD, seed >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen.random(n)
 
 
-def _threshold_tables(d: DerivedParams):
-    """3x3 lookup of (one-threshold, zero-threshold) per parent pair.
+def _checked_int(name: str, value, bits: int) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, "
+                         f"not {type(value).__name__}") from None
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must be in [0, 2**{bits}), got {value}")
+    return value
 
-    Outcome for uniform u: 1 if u < one_t, 0 if u >= zero_t, else ?.
+
+@functools.lru_cache(maxsize=256)
+def _envelope_table(d: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (one, zero) thresholds indexed by 3 * left + right parent.
+
+    Outcome for uniform u: 1 if u < one, 0 if u >= zero, else ?.  zero is
+    raised to at least one, which changes no outcome and makes the count
+    (u >= one) + (u >= zero) name the new cell.  At two known parents
+    both thresholds are p(a, b), so a binary ring steps as the PCA.
     """
-    quad = d.quad
-    one_t = np.empty((3, 3))
-    zero_t = np.empty((3, 3))
+    one, zero = np.empty(9), np.empty(9)
+    one[_KNOWN] = zero[_KNOWN] = d.quad.as_tuple()
     for a in (0, 1):
-        for b in (0, 1):
-            one_t[a, b] = quad.p(a, b)
-            zero_t[a, b] = quad.p(a, b)
-        one_t[a, Q] = d.pp[0][a]
-        zero_t[a, Q] = 1.0 - d.qq[0][a]
-        one_t[Q, a] = d.pp[1][a]
-        zero_t[Q, a] = 1.0 - d.qq[1][a]
-    one_t[Q, Q] = d.p
-    zero_t[Q, Q] = 1.0 - d.q
-    return one_t, zero_t
+        one[3 * a + Q], zero[3 * a + Q] = d.pp[0][a], 1.0 - d.qq[0][a]
+        one[3 * Q + a], zero[3 * Q + a] = d.pp[1][a], 1.0 - d.qq[1][a]
+    one[3 * Q + Q], zero[3 * Q + Q] = d.p, 1.0 - d.q
+    return _frozen(one), _frozen(np.maximum(zero, one))
+
+
+@functools.lru_cache(maxsize=256)
+def _pca_table(quad: ParamQuad) -> np.ndarray:
+    """Flat p(left, right) indexed by 3 * left + right (? entries unused)."""
+    p = np.zeros(9)
+    p[_KNOWN] = quad.as_tuple()
+    return _frozen(p)
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """Read-only, since the caches hand the same table to every caller."""
+    table.flags.writeable = False
+    return table
+
+
+def _step_cells(cells: np.ndarray, one: np.ndarray, zero: np.ndarray,
+                uniforms: np.ndarray) -> np.ndarray:
+    """New cells of one ring, or of each row of rings, under shared uniforms.
+
+    Cell i looks at (i, i+1) around the ring.
+    """
+    idx = cells * np.int8(3)
+    idx[..., :-1] += cells[..., 1:]
+    idx[..., -1] += cells[..., 0]
+    count = (uniforms >= one[idx]).view(np.int8)
+    count += uniforms >= zero[idx]
+    return _COUNT_CELL[count]
 
 
 def pca_step(ring: RingState, quad: ParamQuad, uniforms: np.ndarray) -> RingState:
     """One synchronous update of a binary ring: cell i looks at (i, i+1)."""
-    cells = ring.cells
-    if (cells == Q).any():
+    if (ring.cells == Q).any():
         raise ValueError("pca_step takes a binary ring")
-    probs = np.array([[quad.p00, quad.p01], [quad.p10, quad.p11]])
-    left = cells
-    right = np.roll(cells, -1)
-    new = (uniforms < probs[left, right]).astype(np.int8)
-    return RingState(cells=new, time=ring.time + 1)
+    p = _pca_table(quad)
+    return RingState(cells=_step_cells(ring.cells, p, p, uniforms),
+                     time=ring.time + 1)
 
 
 def envelope_step(ring: RingState, d: DerivedParams,
                   uniforms: np.ndarray) -> RingState:
     """One update of the envelope ring via the threshold coupling."""
-    one_t, zero_t = _threshold_tables(d)
-    left = ring.cells
-    right = np.roll(ring.cells, -1)
-    lo = one_t[left, right]
-    hi = zero_t[left, right]
-    new = np.where(uniforms < lo, 1, np.where(uniforms >= hi, 0, Q))
-    return RingState(cells=new.astype(np.int8), time=ring.time + 1)
+    one, zero = _envelope_table(d)
+    return RingState(cells=_step_cells(ring.cells, one, zero, uniforms),
+                     time=ring.time + 1)
 
 
 @dataclass
@@ -106,42 +159,66 @@ class CoupledTriple:
     copy_b: RingState
 
     def check_dominance(self) -> None:
-        known = self.envelope.cells != Q
-        if not (np.array_equal(self.envelope.cells[known],
-                               self.copy_a.cells[known])
-                and np.array_equal(self.envelope.cells[known],
-                                   self.copy_b.cells[known])):
+        env = self.envelope.cells
+        a, b = self.copy_a.cells, self.copy_b.cells
+        if (a.shape != env.shape or b.shape != env.shape
+                or (((a != env) | (b != env)) & (env != Q)).any()):
             raise AssertionError("envelope dominance violated")
 
 
 def coupled_step(triple: CoupledTriple, d: DerivedParams,
                  uniforms: np.ndarray) -> CoupledTriple:
-    """Advance the three rings with shared uniforms; dominance is preserved."""
-    triple.check_dominance()
-    out = CoupledTriple(
-        envelope=envelope_step(triple.envelope, d, uniforms),
-        copy_a=pca_step(triple.copy_a, d.quad, uniforms),
-        copy_b=pca_step(triple.copy_b, d.quad, uniforms),
-    )
+    """Advance the three rings with shared uniforms; dominance is preserved.
+
+    The three rings step as the rows of one array through the envelope
+    table, which at known parents is the PCA's.  Dominance is checked once,
+    on the result, so along a run every state after the start is checked.
+    """
+    rings = (triple.envelope, triple.copy_a, triple.copy_b)
+    cells = np.array([r.cells for r in rings])
+    if (cells[1:] == Q).any():
+        raise ValueError("coupled copies must be binary rings")
+    new = _step_cells(cells, *_envelope_table(d), uniforms)
+    out = CoupledTriple(*(RingState(cells=row, time=r.time + 1)
+                          for row, r in zip(new, rings)))
     out.check_dominance()
     return out
 
 
-def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int):
+def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
+                         *, _rows: list | None = None):
     """Run the envelope from the all-? ring until no ? remains.
 
     Returns (hit_time or None, density) where density is the per-step
-    ?-density as exact (numerator, denominator) pairs.
+    ?-density as exact (numerator, denominator) pairs.  `_rows`, when
+    given, receives each step's cells (see `run_with_raster`).  The seed
+    is checked even when no step is drawn.
     """
+    _checked_int("seed", seed, 128)
     ring = all_q_ring(n)
     density = [(ring.q_count(), n)]
+    if _rows is not None:
+        _rows.append(ring.cells)
     for t in range(1, max_steps + 1):
         ring = envelope_step(ring, d, step_uniforms(seed, t, n))
+        if _rows is not None:
+            _rows.append(ring.cells)
         k = ring.q_count()
         density.append((k, n))
         if k == 0:
             return t, density
     return None, density
+
+
+def run_with_raster(d: DerivedParams, n: int, max_steps: int, seed: int):
+    """`run_to_decorrelation` that also keeps the space-time raster.
+
+    One pass: returns (hit_time or None, density, SpaceTimeRaster) with
+    one raster row per density entry.
+    """
+    rows: list = []
+    hit, density = run_to_decorrelation(d, n, max_steps, seed, _rows=rows)
+    return hit, density, raster(rows)
 
 
 def density_to_csv(density: list, path: str) -> None:
@@ -195,14 +272,3 @@ def read_pgm(path: str) -> np.ndarray:
             raise ValueError("unexpected maxval")
         data = np.frombuffer(fh.read(t * n), dtype=np.uint8)
     return data.reshape(t, n)
-
-
-def run_envelope_series(d: DerivedParams, n: int, steps: int,
-                        seed: int, start: RingState | None = None) -> list:
-    """Collect a fixed number of envelope steps (for rasters)."""
-    ring = all_q_ring(n) if start is None else start
-    series = [ring]
-    for t in range(1, steps + 1):
-        ring = envelope_step(ring, d, step_uniforms(seed, t, n))
-        series.append(ring)
-    return series

@@ -253,6 +253,10 @@ MALFORMED = [
      "--max-steps", "5"),
     ("envelope", "--params", "0.5,0.5,0.5,0.5", "--cells", "8",
      "--max-steps", "0"),
+    ("envelope", "--params", "0.8,0.3,0.5,0.6", "--seed", "-1"),
+    ("envelope", "--params", "0.8,0.3,0.5,0.6", "--seed", str(2 ** 128)),
+    ("envelope", "--params", "0.8,0.3,0.5,0.6", "--seed", "-1",
+     "--max-steps", "0"),
     ("ca1000", "--eps", "0.5"),
     ("ca1000", "--eps", "nan"),
     ("ca1000", "--eps", "0.25", "--mc-steps", "5"),
@@ -278,6 +282,14 @@ def test_malformed_input_exits_cleanly(capsys, argv):
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_IO)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("--seed", "-1"), ("--seed", str(2 ** 128)),
+                                  ("--seed", "-1", "--max-steps", "0")])
+def test_envelope_seed_outside_the_stream_domain(capsys, argv):
+    code = main(["envelope", "--params", "0.8,0.3,0.5,0.6", *argv])
+    assert code == EXIT_BAD_INPUT
+    assert "seed" in capsys.readouterr().err
 
 
 def test_near_absorbing_chain_answers(capsys):

@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,7 @@ from pca_ergo import ParamQuad, ca_with_error, derive
 from pca_ergo.envelope import (Q, CoupledTriple, RingState, all_q_ring,
                                coupled_step, density_to_csv, envelope_step,
                                pca_step, raster, read_pgm,
-                               run_envelope_series, run_to_decorrelation,
+                               run_to_decorrelation, run_with_raster,
                                step_uniforms, write_pgm)
 
 from conftest import quads, random_quads
@@ -62,6 +66,147 @@ class TestPcaStep:
         # the uniform for cell i is set by (seed, step, i) alone
         assert np.array_equal(step_uniforms(5, 9, 8)[:6],
                               step_uniforms(5, 9, 6))
+
+
+def fresh_philox(seed, step, n):
+    """The stream's definition: a new Philox generator for (seed, step)."""
+    bg = np.random.Philox(key=seed, counter=[0, 0, 0, step])
+    return np.random.Generator(bg).random(n)
+
+
+SEEDS = (0, 1, 12345, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7,
+         2 ** 128 - 1)
+SIZES = (0, 1, 3, 4, 5, 203)
+
+
+class TestStepUniforms:
+    def test_bit_identical_to_fresh_philox(self):
+        for seed, n in itertools.product(SEEDS, SIZES):
+            for step in (0, 1, 9, 2 ** 40, 2 ** 63 - 1):
+                assert np.array_equal(step_uniforms(seed, step, n),
+                                      fresh_philox(seed, step, n))
+
+    def test_interleaved_calls_share_no_buffered_word(self):
+        calls = list(itertools.product(SEEDS, (0, 3, 8), SIZES)) * 2
+        order = np.random.default_rng(5).permutation(len(calls))
+        for i in order:
+            seed, step, n = calls[i]
+            assert np.array_equal(step_uniforms(seed, step, n),
+                                  fresh_philox(seed, step, n))
+
+    def test_threads(self):
+        # more threads than cores, switching often, each in its own order
+        calls = list(itertools.product(SEEDS, (0, 2, 7), SIZES))
+        expected = [fresh_philox(*c) for c in calls]
+        orders = [np.random.default_rng(k).permutation(len(calls))
+                  for k in range(4)]
+        start = threading.Barrier(len(orders), timeout=30)
+        bad, done = [], []
+
+        def work(order):
+            start.wait()
+            for _ in range(10):
+                for i in order:
+                    if not np.array_equal(step_uniforms(*calls[i]), expected[i]):
+                        bad.append(calls[i])
+            done.append(True)
+
+        threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(done) == len(threads) and bad == []
+
+    def test_top_of_the_step_domain(self):
+        # steps are exact integers: no two steps share a stream
+        top = 2 ** 63 - 1
+        assert not np.array_equal(step_uniforms(1, top, 8),
+                                  step_uniforms(1, top - 1, 8))
+
+    @pytest.mark.parametrize("seed, step", [
+        (-1, 0), (2 ** 128, 0), (0, -1), (0, 2 ** 63), (0, 2 ** 64 - 1),
+        (1.5, 0), (0, 2.0), ("1", 0)])
+    def test_outside_the_domain_raises(self, seed, step):
+        with pytest.raises(ValueError):
+            step_uniforms(seed, step, 4)
+
+
+def oracle_tables(d):
+    """3x3 (one, zero) thresholds per parent pair, unclamped."""
+    one_t, zero_t = np.empty((3, 3)), np.empty((3, 3))
+    for a in (0, 1):
+        for b in (0, 1):
+            one_t[a, b] = zero_t[a, b] = d.quad.p(a, b)
+        one_t[a, Q], zero_t[a, Q] = d.pp[0][a], 1.0 - d.qq[0][a]
+        one_t[Q, a], zero_t[Q, a] = d.pp[1][a], 1.0 - d.qq[1][a]
+    one_t[Q, Q], zero_t[Q, Q] = d.p, 1.0 - d.q
+    return one_t, zero_t
+
+
+def oracle_envelope_cells(cells, d, uniforms):
+    """Nested-threshold envelope update, as first written."""
+    one_t, zero_t = oracle_tables(d)
+    right = np.roll(cells, -1)
+    lo, hi = one_t[cells, right], zero_t[cells, right]
+    new = np.where(uniforms < lo, 1, np.where(uniforms >= hi, 0, Q))
+    return new.astype(np.int8)
+
+
+def oracle_pca_cells(cells, quad, uniforms):
+    probs = np.array([[quad.p00, quad.p01], [quad.p10, quad.p11]])
+    return (uniforms < probs[cells, np.roll(cells, -1)]).astype(np.int8)
+
+
+EDGE = (0.0, 1e-9, 0.25, 0.5, 0.75, 1 - 1e-9, 1.0)
+
+
+class TestKernelAgainstOracles:
+    def test_edge_lattice_random_rings(self):
+        rng = np.random.default_rng(17)
+        for k, q in enumerate(itertools.product(EDGE, repeat=4)):
+            quad = ParamQuad(*q)
+            d = derive(quad)
+            cells = rng.integers(0, 3, 40).astype(np.int8)
+            u = rng.random(40)
+            got = envelope_step(RingState(cells, time=k), d, u)
+            assert got.time == k + 1 and got.cells.dtype == np.int8
+            assert np.array_equal(got.cells, oracle_envelope_cells(cells, d, u))
+            binary = rng.integers(0, 2, 40).astype(np.int8)
+            got = pca_step(RingState(binary), quad, u)
+            assert got.cells.dtype == np.int8
+            assert np.array_equal(got.cells, oracle_pca_cells(binary, quad, u))
+
+    def test_uniforms_on_and_beside_every_threshold(self):
+        # each (left, right) pair meets each threshold and its neighbours
+        pairs = np.array([(a, b) for a in (0, 1, Q) for b in (0, 1, Q)],
+                         dtype=np.int8)
+        known = pairs[[0, 1, 3, 4]]
+        clamped = 0
+        for q in itertools.product(EDGE, repeat=4):
+            quad = ParamQuad(*q)
+            d = derive(quad)
+            one_t, zero_t = oracle_tables(d)
+            clamped += bool((zero_t < one_t).any())
+            t = np.concatenate([one_t.ravel(), zero_t.ravel()])
+            u = np.concatenate([t, np.nextafter(t, -1), np.nextafter(t, 2)])
+            # cell 2k has parents pairs[k // len(u)] and uniform u[k % len(u)]
+            cells = np.repeat(pairs, len(u), axis=0).ravel()
+            uni = np.tile(np.repeat(u, 2), len(pairs))
+            got = envelope_step(RingState(cells), d, uni).cells
+            assert np.array_equal(got, oracle_envelope_cells(cells, d, uni))
+            binary = np.repeat(known, len(u), axis=0).ravel()
+            uni = np.tile(np.repeat(u, 2), len(known))
+            assert np.array_equal(pca_step(RingState(binary), quad, uni).cells,
+                                  oracle_pca_cells(binary, quad, uni))
+        # 1 - q rounds below p on part of the lattice: the clamp is exercised
+        assert clamped > 0
 
 
 class TestEnvelopeStep:
@@ -134,6 +279,43 @@ class TestCoupling:
                 return
         pytest.fail("envelope never decorrelated")
 
+    def test_coupled_step_matches_separate_steps(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            quad = ParamQuad(*rng.random(4))
+            d = derive(quad)
+            a = rng.integers(0, 2, 30).astype(np.int8)
+            b = np.where(rng.random(30) < 0.5, a, 1 - a).astype(np.int8)
+            env = np.where(a == b, a, np.int8(Q)).astype(np.int8)
+            triple = CoupledTriple(RingState(env, 4), RingState(a, 4),
+                                   RingState(b, 4))
+            u = rng.random(30)
+            out = coupled_step(triple, d, u)
+            assert np.array_equal(out.envelope.cells,
+                                  envelope_step(triple.envelope, d, u).cells)
+            assert np.array_equal(out.copy_a.cells, pca_step(triple.copy_a, quad, u).cells)
+            assert np.array_equal(out.copy_b.cells, pca_step(triple.copy_b, quad, u).cells)
+            assert (out.envelope.time, out.copy_a.time, out.copy_b.time) == (5, 5, 5)
+
+    def test_one_dominance_check_per_step(self, monkeypatch):
+        calls = []
+        check = CoupledTriple.check_dominance
+        monkeypatch.setattr(CoupledTriple, "check_dominance",
+                            lambda self: calls.append(1) or check(self))
+        d = derive(FIG1)
+        cells = np.array([0, 1, 1, 0, 1, 0], dtype=np.int8)
+        triple = CoupledTriple(RingState(np.full(6, Q, np.int8)),
+                               RingState(cells), RingState(1 - cells))
+        for step in range(7):
+            triple = coupled_step(triple, d, step_uniforms(9, step, 6))
+        assert len(calls) == 7
+
+    def test_coupled_copies_must_be_binary(self):
+        ring = RingState(np.array([0, Q, 1], dtype=np.int8))
+        triple = CoupledTriple(ring, ring, RingState(np.zeros(3, np.int8)))
+        with pytest.raises(ValueError):
+            coupled_step(triple, derive(FIG1), step_uniforms(0, 0, 3))
+
     def test_dominance_check_rejects_violation(self):
         bad = CoupledTriple(
             envelope=RingState(np.array([1, 1], dtype=np.int8)),
@@ -197,10 +379,25 @@ class TestRaster:
             raster([np.array([0, 1], dtype=np.int8),
                     np.array([0, 1, 0], dtype=np.int8)])
 
+    @pytest.mark.parametrize("quad, n, max_steps, seed", [
+        (FIG1, 30, 10 ** 4, 3), (ca_with_error("1000", 0.01), 20, 60, 2),
+        (FIG1, 12, 0, 1)])
+    def test_raster_is_the_decorrelation_run(self, quad, n, max_steps, seed):
+        d = derive(quad)
+        hit, density, img = run_with_raster(d, n, max_steps, seed)
+        assert (hit, density) == run_to_decorrelation(d, n, max_steps, seed)
+        ring, rows = all_q_ring(n), [all_q_ring(n)]
+        for t in range(1, len(density)):
+            ring = envelope_step(ring, d, step_uniforms(seed, t, n))
+            rows.append(ring)
+        assert np.array_equal(img.data, raster(rows).data)
+        assert [(int((r == 128).sum()), n) for r in img.data] == density
+
     def test_pgm_round_trip(self, tmp_path):
-        d = derive(FIG1)
-        series = run_envelope_series(d, n=16, steps=12, seed=21)
-        img = raster(series)
+        # a failing rule, so the ?-region outlives the 12 steps
+        d = derive(ca_with_error("1000", 0.01))
+        hit, _, img = run_with_raster(d, n=16, max_steps=12, seed=21)
+        assert hit is None
         assert img.data.shape == (13, 16)
         path = tmp_path / "out.pgm"
         write_pgm(img, str(path))
