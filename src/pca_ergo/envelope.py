@@ -5,7 +5,7 @@ A single uniform per cell drives the three coupled processes through
 nested thresholds, which realises the envelope transition table and the
 dominance property simultaneously.  Every ring steps through one kernel: a
 flat 9-entry threshold table per parameter set, indexed by 3 * left + right
-parent, and a count of the thresholds the cell's uniform passes.
+parent, and the thresholds the cell's uniform passes.
 """
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ from .params import DerivedParams, ParamQuad
 Q = 2  # cell code for ?; 0 and 1 are themselves
 
 _BYTE_MAP = np.array([255, 0, 128], dtype=np.uint8)  # cell 0/1/? -> byte
-_COUNT_CELL = np.array([1, Q, 0], dtype=np.int8)     # thresholds passed -> cell
 _KNOWN = [0, 1, 3, 4]   # 3 * left + right for parents 00, 01, 10, 11
+_COUPLED_TOP = np.array([[Q], [1], [1]], np.uint8)  # top code per coupled row
 _WORD = (1 << 64) - 1
+_BLOCK = 1 << 16    # cells per kernel block: its scratch arrays fit in L2
 _local = threading.local()                           # one generator per thread
 
 
@@ -92,9 +93,10 @@ def _envelope_table(d: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
     """Flat (one, zero) thresholds indexed by 3 * left + right parent.
 
     Outcome for uniform u: 1 if u < one, 0 if u >= zero, else ?.  zero is
-    raised to at least one, which changes no outcome and makes the count
-    (u >= one) + (u >= zero) name the new cell.  At two known parents
-    both thresholds are p(a, b), so a binary ring steps as the PCA.
+    raised to at least one, which changes no outcome and makes u >= zero
+    imply u >= one, so the thresholds passed name the new cell.  At two
+    known parents both thresholds are p(a, b), so a binary ring steps as
+    the PCA.
     """
     one, zero = np.empty(9), np.empty(9)
     one[_KNOWN] = zero[_KNOWN] = d.quad.as_tuple()
@@ -123,20 +125,53 @@ def _step_cells(cells: np.ndarray, one: np.ndarray, zero: np.ndarray,
                 uniforms: np.ndarray) -> np.ndarray:
     """New cells of one ring, or of each row of rings, under shared uniforms.
 
-    Cell i looks at (i, i+1) around the ring.
+    Cell i looks at (i, i+1) around the ring.  The last axis is walked in
+    blocks of _BLOCK cells, so the scratch arrays stay in cache on long
+    rings; a short ring is a single block.  The last block reads cell 0
+    as the right parent of the last cell.
     """
-    idx = cells * np.int8(3)
-    idx[..., :-1] += cells[..., 1:]
-    idx[..., -1] += cells[..., 0]
-    count = (uniforms >= one[idx]).view(np.int8)
-    count += uniforms >= zero[idx]
-    return _COUNT_CELL[count]
+    n = cells.shape[-1]
+    out = np.empty_like(cells)
+    shape = cells.shape[:-1] + (min(n, _BLOCK),)
+    pair, idx = np.empty(shape, np.int8), np.empty(shape, np.intp)
+    thresh = np.empty(shape)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        if e - s < shape[-1]:
+            pair, idx, thresh = (a[..., :e - s] for a in (pair, idx, thresh))
+        u, new = uniforms[s:e], out[..., s:e]
+        np.multiply(cells[..., s:e], 3, out=pair)
+        pair[..., :-1] += cells[..., s + 1:e]
+        pair[..., -1] += cells[..., e % n]
+        np.copyto(idx, pair)
+        # new cell = (u below zero) << (u at or above one): 1, ? (= 2) or 0.
+        # "below" is not (u >= zero), so a NaN uniform passes no threshold.
+        below = new.view(bool)
+        np.greater_equal(u, zero.take(idx, out=thresh, mode="clip"), out=below)
+        np.logical_not(below, out=below)
+        np.greater_equal(u, one.take(idx, out=thresh, mode="clip"),
+                         out=pair.view(bool))
+        np.left_shift(new, pair, out=new)
+    return out
+
+
+def _check_step(cells: np.ndarray, top, uniforms, what: str) -> None:
+    """Cell codes in 0..top, and one uniform per cell of each ring.
+
+    The kernel reads its tables in clip mode, so it would step an unknown
+    code silently; codes are read as uint8, so a negative one fails too.
+    A shorter or wider uniforms array would broadcast over the ring.
+    """
+    if (cells.view(np.uint8) > top).any():
+        raise ValueError(what)
+    if np.shape(uniforms) != cells.shape[-1:]:
+        raise ValueError(f"uniforms of shape {np.shape(uniforms)} do not "
+                         f"match a ring of shape {cells.shape[-1:]}")
 
 
 def pca_step(ring: RingState, quad: ParamQuad, uniforms: np.ndarray) -> RingState:
     """One synchronous update of a binary ring: cell i looks at (i, i+1)."""
-    if (ring.cells == Q).any():
-        raise ValueError("pca_step takes a binary ring")
+    _check_step(ring.cells, 1, uniforms, "pca_step takes a binary ring")
     p = _pca_table(quad)
     return RingState(cells=_step_cells(ring.cells, p, p, uniforms),
                      time=ring.time + 1)
@@ -145,6 +180,7 @@ def pca_step(ring: RingState, quad: ParamQuad, uniforms: np.ndarray) -> RingStat
 def envelope_step(ring: RingState, d: DerivedParams,
                   uniforms: np.ndarray) -> RingState:
     """One update of the envelope ring via the threshold coupling."""
+    _check_step(ring.cells, Q, uniforms, "envelope cells must be 0, 1 or ?")
     one, zero = _envelope_table(d)
     return RingState(cells=_step_cells(ring.cells, one, zero, uniforms),
                      time=ring.time + 1)
@@ -176,8 +212,8 @@ def coupled_step(triple: CoupledTriple, d: DerivedParams,
     """
     rings = (triple.envelope, triple.copy_a, triple.copy_b)
     cells = np.array([r.cells for r in rings])
-    if (cells[1:] == Q).any():
-        raise ValueError("coupled copies must be binary rings")
+    _check_step(cells, _COUPLED_TOP, uniforms,
+                "coupled rings take cells 0, 1 or ? and binary copies")
     new = _step_cells(cells, *_envelope_table(d), uniforms)
     out = CoupledTriple(*(RingState(cells=row, time=r.time + 1)
                           for row, r in zip(new, rings)))
@@ -197,13 +233,15 @@ def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
     _checked_int("seed", seed, 128)
     ring = all_q_ring(n)
     density = [(ring.q_count(), n)]
+    cells = ring.cells
+    one, zero = _envelope_table(d)
     if _rows is not None:
-        _rows.append(ring.cells)
+        _rows.append(cells)
     for t in range(1, max_steps + 1):
-        ring = envelope_step(ring, d, step_uniforms(seed, t, n))
+        cells = _step_cells(cells, one, zero, step_uniforms(seed, t, n))
         if _rows is not None:
-            _rows.append(ring.cells)
-        k = ring.q_count()
+            _rows.append(cells)
+        k = int(np.count_nonzero(cells == Q))
         density.append((k, n))
         if k == 0:
             return t, density

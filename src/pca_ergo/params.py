@@ -75,10 +75,6 @@ class ParamQuad:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)
 
-    @property
-    def positive_rates(self) -> bool:
-        return all(0.0 < v < 1.0 for v in self.as_tuple())
-
     def p(self, left: int, right: int) -> float:
         return self.as_tuple()[2 * left + right]
 

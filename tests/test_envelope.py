@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pca_ergo import ParamQuad, ca_with_error, derive
-from pca_ergo.envelope import (Q, CoupledTriple, RingState, all_q_ring,
+from pca_ergo.envelope import (_BLOCK, Q, CoupledTriple, RingState, all_q_ring,
                                coupled_step, density_to_csv, envelope_step,
                                pca_step, raster, read_pgm,
                                run_to_decorrelation, run_with_raster,
                                step_uniforms, write_pgm)
+from pca_ergo.params import condition_holds_batch
 
 from conftest import quads, random_quads
 
@@ -208,6 +210,42 @@ class TestKernelAgainstOracles:
         # 1 - q rounds below p on part of the lattice: the clamp is exercised
         assert clamped > 0
 
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 1])
+    def test_block_seams_and_wrap_cell(self, n):
+        # the cells on each side of every block seam, and cells 0 and n - 1,
+        # get uniforms on and beside their thresholds; the coupled rows
+        # step as one (3, n) array, so its seams are checked too
+        rng = np.random.default_rng(n)
+        seams = np.arange(_BLOCK, n, _BLOCK)
+        edge = np.unique(np.concatenate([seams - 1, seams, [0, n - 1]]))
+        right = (edge + 1) % n
+        for quad in (FIG1, ParamQuad(*rng.random(4))):
+            d = derive(quad)
+            one_t, zero_t = oracle_tables(d)
+            for table, side in itertools.product((one_t, zero_t),
+                                                 (None, -1, 2)):
+                def on(t):
+                    return t if side is None else np.nextafter(t, side)
+                a = rng.integers(0, 2, n).astype(np.int8)
+                b = np.where(rng.random(n) < 0.5, a, 1 - a).astype(np.int8)
+                env = np.where(a == b, a, np.int8(Q)).astype(np.int8)
+                u = rng.random(n)
+                u[edge] = on(table[env[edge], env[right]])
+                expect = oracle_envelope_cells(env, d, u)
+                assert np.array_equal(envelope_step(RingState(env), d, u).cells,
+                                      expect)
+                out = coupled_step(CoupledTriple(RingState(env), RingState(a),
+                                                 RingState(b)), d, u)
+                assert np.array_equal(out.envelope.cells, expect)
+                assert np.array_equal(out.copy_a.cells,
+                                      oracle_pca_cells(a, quad, u))
+                assert np.array_equal(out.copy_b.cells,
+                                      oracle_pca_cells(b, quad, u))
+                u[edge] = on(one_t[a[edge], a[right]])
+                assert np.array_equal(pca_step(RingState(a), quad, u).cells,
+                                      oracle_pca_cells(a, quad, u))
+
 
 class TestEnvelopeStep:
     def test_all_q_one_step_resolution_rate(self):
@@ -229,6 +267,38 @@ class TestEnvelopeStep:
         for step in range(20):
             state = envelope_step(state, d, step_uniforms(77, step, 6))
             assert state.q_count() == 0
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 6)])
+    def test_uniforms_must_match_the_ring(self, shape):
+        # a shorter or wider array would broadcast over the ring
+        cells = np.array([0, 1, 1, 0, Q, 0], dtype=np.int8)
+        binary = np.array([0, 1, 1, 0, 1, 0], dtype=np.int8)
+        u = np.full(shape, 0.5)
+        steps = (
+            lambda: envelope_step(RingState(cells), derive(FIG1), u),
+            lambda: pca_step(RingState(binary), FIG1, u),
+            lambda: coupled_step(CoupledTriple(RingState(cells),
+                                               RingState(binary),
+                                               RingState(binary)),
+                                 derive(FIG1), u))
+        for step in steps:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{shape}") + r".*\(6,\)"):
+                step()
+
+    @pytest.mark.parametrize("code", [3, 5, -1])
+    def test_unknown_cell_codes_raise(self, code):
+        # the kernel reads its tables in clip mode, so it cannot catch them
+        d, u = derive(FIG1), np.full(4, 0.5)
+        bad = RingState(np.array([0, 1, code, 0], dtype=np.int8))
+        binary = RingState(np.array([0, 1, 1, 0], dtype=np.int8))
+        steps = (lambda: envelope_step(bad, d, u),
+                 lambda: pca_step(bad, FIG1, u),
+                 lambda: coupled_step(CoupledTriple(bad, binary, binary), d, u),
+                 lambda: coupled_step(CoupledTriple(binary, bad, binary), d, u))
+        for step in steps:
+            with pytest.raises(ValueError):
+                step()
 
     def test_known_parents_agree_with_pca_step(self):
         d = derive(FIG1)
@@ -348,6 +418,24 @@ class TestDecorrelation:
         assert hit is None
         assert len(density) == 201
         assert all(num > 0 for num, _ in density)
+
+    def test_condition_implies_extinction(self):
+        # where the ergodicity condition holds, the all-? ring dies out
+        # inside the benchmark's step cap, at every ring length; the last
+        # ring is longer than one kernel block
+        rng = np.random.default_rng(2022)
+        cand = rng.random((400, 4))
+        holds, _ = condition_holds_batch(cand)
+        chosen = cand[holds][:40]
+        assert len(chosen) == 40
+        runs = [(q, n) for q in chosen for n in (64, 256, 1024, 4096)]
+        runs.append((chosen[0], 2 * _BLOCK + 1))
+        for q, n in runs:
+            d = derive(ParamQuad(*map(float, q)))
+            seed = int(rng.integers(2 ** 62))
+            hit, density = run_to_decorrelation(d, n, 10 ** 4, seed)
+            assert hit is not None, (q, n, seed)
+            assert density[-1] == (0, n)
 
     def test_density_csv(self, tmp_path):
         d = derive(FIG1)
