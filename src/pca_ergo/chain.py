@@ -1,13 +1,15 @@
-"""One sampler for the boundary chains: atom laws with one geometric tail.
+"""One law type, one drift oracle and one sampler for the boundary chains.
 
-Both boundary laws (`walk.IncrementLaw` and `refined.RefinedLaw`) are, per
-from-state, a finite list of moves ``(base, slope, to, to_class, mass)``.  An
-atom is a move with slope 0.  A tail family is a move with slope != 0 and
-mass w / (1 - ratio): its displacement is ``base + slope * K`` with K
-geometric, P(K >= k) = ratio**k, one ratio for the whole chain.
+Both boundary laws (`walk.increment_law` and `refined.refined_law_s1` /
+`refined_law_00`) are `AtomLaw`s: a finite list of moves ``(base, slope,
+to, to_class, mass)``.  An atom is a move with slope 0.  A tail family is a
+move with slope != 0 and mass w / (1 - ratio): its displacement is
+``base + slope * K`` with K geometric, P(K >= k) = ratio**k, one ratio for
+the whole chain.
 
 A step's law depends on the from-state only through its law class, and both
-boundary chains have two classes, so the chain is sampled on the classes.
+boundary chains have two classes, so the chain is sampled on the classes
+and its stationary mean step is a two-class closed form (`two_class_mean`).
 Each step uses two uniforms, drawn in blocks of `BLOCK` steps: x picks the
 move by inversion and y sets K.  Each class lists its moves with those into
 class 0 first, so the class after a step is one comparison of x with a
@@ -18,6 +20,7 @@ classes' tables finds the moves.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,22 +48,68 @@ def _class_path(c0: int, next0: np.ndarray, next1: np.ndarray) -> np.ndarray:
     return path
 
 
-class AtomChain:
-    """Two-class chain of atom laws with a shared geometric tail ratio.
+@dataclass(frozen=True)
+class AtomLaw:
+    """One step's law: moves ``(base, slope, to, to_class, mass)`` whose
+    tail families share the geometric ratio.  `to` labels the new state and
+    `to_class` is its law class, 0 or 1."""
 
-    moves[c] lists the moves ``(base, slope, to, to_class, mass)`` of class
-    c; masses of each class sum to 1 up to rounding.  `to` is a state label
-    returned to callers that need the states, `to_class` its law class.
+    moves: tuple
+    ratio: float
+
+    def total_mass(self) -> float:
+        return sum(m[4] for m in self.moves)
+
+    def mean(self) -> float:
+        """Mean displacement; a tail family adds slope * E[K] with
+        E[K] = ratio / (1 - ratio)."""
+        m = sum(base * mass for base, _, _, _, mass in self.moves)
+        tail = sum(slope * mass for _, slope, _, _, mass in self.moves)
+        if tail != 0.0:
+            m += tail * self.ratio / (1.0 - self.ratio)
+        return m
+
+    def state_marginal(self) -> dict:
+        """Total mass landing on each `to` label."""
+        out: dict = {}
+        for _, _, to, _, mass in self.moves:
+            out[to] = out.get(to, 0.0) + mass
+        return out
+
+
+def two_class_mean(law0: AtomLaw, law1: AtomLaw) -> float:
+    """Stationary mean step of the chain that steps by law c from class c.
+
+    The classes form a two-state chain that leaves class 0 with mass a and
+    class 1 with mass b, so class 0 has stationary weight b / (a + b).
+    ValueError when a + b = 0: both classes are closed and there is no
+    unique stationary law.
     """
+    a = sum(m[4] for m in law0.moves if m[3] == 1)
+    b = sum(m[4] for m in law1.moves if m[3] == 0)
+    if a + b == 0.0:
+        raise ValueError("both law classes are closed: no unique "
+                         "stationary law")
+    return (b * law0.mean() + a * law1.mean()) / (a + b)
 
-    def __init__(self, moves: list, ratio: float):
-        if len(moves) != 2:
-            raise ValueError("AtomChain samples exactly two law classes")
+
+class AtomChain:
+    """Two-class chain that steps by law0 from class 0 and by law1 from
+    class 1; both laws share one tail ratio and their masses each sum to 1
+    up to rounding.  `to` labels are returned to callers that need the
+    states."""
+
+    def __init__(self, law0: AtomLaw, law1: AtomLaw):
+        ratio = law0.ratio
+        if law1.ratio != ratio:
+            raise ValueError(f"tail ratios {ratio!r} and {law1.ratio!r} "
+                             "differ")
         if not 0.0 <= ratio < 1.0:
             raise ValueError(f"tail ratio {ratio!r} must lie in [0, 1)")
         self.log_ratio = math.log(ratio) if ratio > 0.0 else None
-        kept = [sorted((m for m in ms if m[4] > 0.0), key=lambda m: m[3])
-                for ms in moves]
+        kept = [sorted((m for m in law.moves if m[4] > 0.0),
+                       key=lambda m: m[3])
+                for law in (law0, law1)]
         width = max(len(ms) for ms in kept)
         rows, cums, self.threshold = [], [], []
         for c, ms in enumerate(kept):

@@ -283,6 +283,9 @@ def raster(series: list) -> SpaceTimeRaster:
     if len(widths) != 1:
         raise ValueError("space-time series must be rectangular")
     grid = np.stack(rows)
+    bad = grid.view(np.uint8) > Q   # a negative code reads as >= 128
+    if bad.any():
+        raise ValueError(f"cell code {grid[bad][0]} is not 0, 1 or ? ({Q})")
     return SpaceTimeRaster(data=_BYTE_MAP[grid])
 
 

@@ -8,12 +8,11 @@ ratio 2*eps.  All position arithmetic uses doubled integers, never floats.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AtomChain
-from .params import TOL_IDENTITY, Side
+from .chain import AtomChain, AtomLaw, two_class_mean
+from .params import TOL_IDENTITY
 from .walk import DriftEstimate, batch_means_stderr
 
 # Pair states as 2-char strings, outermost cell first on the right boundary.
@@ -23,85 +22,35 @@ STATE_STAR0 = "*0"
 REACHABLE = S1 + (STATE_00, STATE_STAR0)
 
 
-@dataclass(frozen=True)
-class HalfInt:
-    """Exact half-integer: value = doubled / 2."""
-
-    doubled: int
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.doubled + other.doubled)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.doubled - other.doubled)
-
-    def __float__(self) -> float:
-        return self.doubled / 2.0
-
-    def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps={eps!r} must lie strictly inside (0, 1/2)")
 
 
-def tilde_offset(pair: str, side: Side) -> HalfInt:
-    """Offset turning a raw boundary position into the effective one."""
-    if side is Side.RIGHT:
-        if pair in ("01", "11", "*1"):
-            return HalfInt(0)
-        if pair == "00":
-            return HalfInt(-1)
-        return HalfInt(-2)
-    # left side: mirror with opposite signs
-    if pair in ("10", "11", "1*"):
-        return HalfInt(0)
-    if pair == "00":
-        return HalfInt(1)
-    return HalfInt(2)
+# Law class of each reachable pair: S1 -> 0, {(0,0), (*,0)} -> 1.  (*,0)
+# gets the (0,0) law: the smaller-mean concrete case, keeping the simulated
+# drift a valid lower-bound companion.
+_CLASS = {**{pair: 0 for pair in S1}, STATE_00: 1, STATE_STAR0: 1}
 
 
-@dataclass(frozen=True)
-class RefinedLaw:
-    """Displacement law for the refined right boundary.
-
-    head atoms: (doubled delta, new pair, prob).  Each tail family means
-    P(doubled delta = start + 2k, pair) = ratio**k * weight for k >= 0,
-    with ratio = 2*eps.
-    """
-
-    from_class: str
-    head: tuple
-    tails: tuple  # of (start_doubled: int, pair: str, weight: float)
-    ratio: float
-
-    def total_mass(self) -> float:
-        head = sum(p for _, _, p in self.head)
-        tail = sum(w for _, _, w in self.tails) / (1.0 - self.ratio)
-        return head + tail
-
-    def mean(self) -> float:
-        m = sum(dd * p for dd, _, p in self.head) / 2.0
-        geo = 1.0 / (1.0 - self.ratio)
-        for start, _, w in self.tails:
-            m += w * (start / 2.0 * geo + self.ratio * geo * geo)
-        return m
-
-    def state_marginal(self) -> dict:
-        out: dict = {}
-        for _, s, p in self.head:
-            out[s] = out.get(s, 0.0) + p
-        for _, s, w in self.tails:
-            out[s] = out.get(s, 0.0) + w / (1.0 - self.ratio)
-        return out
+def _law(eps: float, head: tuple, tails: tuple) -> AtomLaw:
+    """`AtomLaw` of head atoms (doubled delta, pair, prob) and tail
+    families (doubled start, pair, weight), each family stepping by 2 with
+    ratio 2*eps; `to` labels are indices into `REACHABLE`."""
+    ratio = 2.0 * eps
+    moves = tuple((dd, 0, REACHABLE.index(s), _CLASS[s], p)
+                  for dd, s, p in head)
+    moves += tuple((start, 2, REACHABLE.index(s), _CLASS[s],
+                    w / (1.0 - ratio))
+                   for start, s, w in tails)
+    law = AtomLaw(moves, ratio)
+    assert abs(law.total_mass() - 1.0) <= 64 * TOL_IDENTITY
+    return law
 
 
-def refined_law_s1(eps: float) -> RefinedLaw:
-    """One-step law when the right pair lies in {(0,1),(1,1),(*,1),(1,0)}."""
+def refined_law_s1(eps: float) -> AtomLaw:
+    """One-step law when the right pair lies in {(0,1),(1,1),(*,1),(1,0)},
+    in doubled displacements."""
     _check_eps(eps)
     e, f, g = eps, 1.0 - eps, 1.0 - 2.0 * eps
     head = (
@@ -116,13 +65,12 @@ def refined_law_s1(eps: float) -> RefinedLaw:
     )
     w = e * e * g
     tails = ((2, "10", w), (3, "00", w), (4, "01", w), (4, "11", w))
-    law = RefinedLaw(from_class="S1", head=head, tails=tails, ratio=2.0 * eps)
-    assert abs(law.total_mass() - 1.0) <= 64 * TOL_IDENTITY
-    return law
+    return _law(eps, head, tails)
 
 
-def refined_law_00(eps: float) -> RefinedLaw:
-    """One-step law when the right pair is (0,0)."""
+def refined_law_00(eps: float) -> AtomLaw:
+    """One-step law when the right pair is (0,0), in doubled
+    displacements."""
     _check_eps(eps)
     e, f, g = eps, 1.0 - eps, 1.0 - 2.0 * eps
     head = (
@@ -139,9 +87,7 @@ def refined_law_00(eps: float) -> RefinedLaw:
     )
     w = e * e * g
     tails = ((1, "10", w), (2, "00", w), (3, "01", w), (3, "11", w))
-    law = RefinedLaw(from_class="00", head=head, tails=tails, ratio=2.0 * eps)
-    assert abs(law.total_mass() - 1.0) <= 64 * TOL_IDENTITY
-    return law
+    return _law(eps, head, tails)
 
 
 def mean_s1(eps: float) -> float:
@@ -167,24 +113,6 @@ def refined_drift_bound(eps: float) -> float:
     return bound
 
 
-# Law class of each reachable pair: S1 -> 0, {(0,0), (*,0)} -> 1.  (*,0)
-# gets the (0,0) law: the smaller-mean concrete case, keeping the simulated
-# drift a valid lower-bound companion.
-_CLASS = {**{pair: 0 for pair in S1}, STATE_00: 1, STATE_STAR0: 1}
-
-
-def _sampler(eps: float) -> AtomChain:
-    """The pair chain as an `AtomChain` on its two law classes; the `to`
-    labels are the classes, displacements are doubled integers."""
-    moves = []
-    for law in (refined_law_s1(eps), refined_law_00(eps)):
-        ms = [(dd, 0, _CLASS[s], _CLASS[s], p) for dd, s, p in law.head]
-        ms += [(start, 2, _CLASS[s], _CLASS[s], w / (1.0 - law.ratio))
-               for start, s, w in law.tails]
-        moves.append(ms)
-    return AtomChain(moves, 2.0 * eps)
-
-
 def simulate_refined(eps: float, steps: int, burn_in: int,
                      seed: int) -> DriftEstimate:
     """Monte Carlo stationary mean of the refined right-boundary increment.
@@ -194,8 +122,9 @@ def simulate_refined(eps: float, steps: int, burn_in: int,
     doubled integers and halved only for reporting.
     """
     _check_eps(eps)
-    doubled = _sampler(eps).sample(np.random.default_rng(seed),
-                                   _CLASS[STATE_00], steps, burn_in)
+    chain = AtomChain(refined_law_s1(eps), refined_law_00(eps))
+    doubled = chain.sample(np.random.default_rng(seed), _CLASS[STATE_00],
+                           steps, burn_in)
     incr = doubled / 2.0
     return DriftEstimate(mean=float(incr.mean()),
                          stderr=batch_means_stderr(incr),
@@ -205,15 +134,10 @@ def simulate_refined(eps: float, steps: int, burn_in: int,
 def exact_refined_drift(eps: float) -> float:
     """Stationary mean of the simulated pair chain (oracle).
 
-    The law of a step depends on the pair only through its class, so the
-    classes form a two-state chain: it leaves S1 with mass a (into (0,0)
-    and (*,0)) and enters S1 from (0,0) with mass b, and S1 has stationary
-    weight b / (a + b).
+    The law of a step depends on the pair only through its class, S1 or
+    {(0,0), (*,0)}, so this is `two_class_mean` of the two laws, halved.
     """
-    law_s1, law_00 = refined_law_s1(eps), refined_law_00(eps)
-    a = sum(m for s, m in law_s1.state_marginal().items() if _CLASS[s] == 1)
-    b = sum(m for s, m in law_00.state_marginal().items() if _CLASS[s] == 0)
-    return (b * law_s1.mean() + a * law_00.mean()) / (a + b)
+    return two_class_mean(refined_law_s1(eps), refined_law_00(eps)) / 2.0
 
 
 def sweep_to_csv(eps_grid: list, path: str, steps: int = 10 ** 5,

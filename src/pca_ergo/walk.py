@@ -1,8 +1,10 @@
 """Island-boundary random walks: exact one-step laws, samplers and Monte
 Carlo drift estimation.
 
-A law is a finite head plus a geometric tail: runs of freshly decorrelated
-cells attach to the boundary with ratio 1 - r per extra cell.
+A law is a `chain.AtomLaw`: atoms at the small displacements plus a
+geometric tail, since runs of freshly decorrelated cells attach to the
+boundary with ratio 1 - r per extra cell.  Its `to` labels are `BState`
+values.
 """
 from __future__ import annotations
 
@@ -13,54 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCK, AtomChain
-from .params import BState, DerivedParams, Side, TOL_IDENTITY, tree_weights
-
-
-@dataclass(frozen=True)
-class IncrementLaw:
-    """Distribution of (position increment, new boundary state).
-
-    head holds the atoms at the small displacements; the tail means
-    P(delta = tail_start + tail_step * k, state s) = ratio**k * weights[s]
-    for k >= 0.  tail_step is +1 on the right boundary and -1 on the left
-    (fresh cells extend the island outward on either side).
-    """
-
-    side: Side
-    from_state: BState
-    head: tuple  # of (delta: int, to: BState, prob: float)
-    tail_start: int
-    tail_step: int
-    ratio: float
-    tail_weights: dict  # BState -> float
-
-    def total_mass(self) -> float:
-        head = sum(p for _, _, p in self.head)
-        tail = sum(self.tail_weights.values())
-        if tail == 0.0:
-            return head
-        return head + tail / (1.0 - self.ratio)
-
-    def mean(self) -> float:
-        m = sum(delta * p for delta, _, p in self.head)
-        w = sum(self.tail_weights.values())
-        if w > 0.0:
-            geo = 1.0 / (1.0 - self.ratio)
-            # E[start + step*K] summed against the un-normalised tail
-            m += w * (self.tail_start * geo
-                      + self.tail_step * self.ratio * geo * geo)
-        return m
-
-    def state_marginal(self) -> dict:
-        """Total mass landing on each new state (head plus tail)."""
-        out = {s: 0.0 for s in BState}
-        for _, s, p in self.head:
-            out[s] += p
-        for s, w in self.tail_weights.items():
-            if w > 0.0:
-                out[s] += w / (1.0 - self.ratio)
-        return out
+from .chain import BLOCK, AtomChain, AtomLaw, two_class_mean
+from .params import BState, DerivedParams, Side, TOL_IDENTITY
 
 
 def _worst_state(d: DerivedParams, side: Side) -> BState:
@@ -69,24 +25,23 @@ def _worst_state(d: DerivedParams, side: Side) -> BState:
     return BState.ZERO if d.rr[i][0] >= d.rr[i][1] else BState.ONE
 
 
-def increment_law(d: DerivedParams, side: Side, y: BState) -> IncrementLaw:
+def increment_law(d: DerivedParams, side: Side, y: BState) -> AtomLaw:
     """Exact one-step law of a boundary, by known-state y.
 
     The forgotten state substitutes the concrete state with the larger
-    remainder r^(i), the worst case for the island.
+    remainder r^(i), the worst case for the island, so a move into Star
+    has that state's law class; a concrete state's class is its value.
+    The tail families step by +1 on the right boundary and by -1 on the
+    left (fresh cells extend the island outward on either side).
     """
     if d.r <= 0.0:
         raise ValueError("increment law requires r > 0")
-    if y is BState.STAR:
-        law = increment_law(d, side, _worst_state(d, side))
-        return IncrementLaw(side=side, from_state=BState.STAR, head=law.head,
-                            tail_start=law.tail_start, tail_step=law.tail_step,
-                            ratio=law.ratio, tail_weights=law.tail_weights)
-    x = y.value
+    worst = _worst_state(d, side)
+    x = (worst if y is BState.STAR else y).value
     p, q, r = d.p, d.q, d.r
+    r0, q0, p0 = d.rr[0][x], d.qq[0][x], d.pp[0][x]
+    r1, q1, p1 = d.rr[1][x], d.qq[1][x], d.pp[1][x]
     if side is Side.RIGHT:
-        r0, q0, p0 = d.rr[0][x], d.qq[0][x], d.pp[0][x]
-        r1, q1, p1 = d.rr[1][x], d.qq[1][x], d.pp[1][x]
         head = (
             (-1, BState.STAR, r1 * r0),
             (-1, BState.ZERO, q1 * r0),
@@ -94,16 +49,11 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> IncrementLaw:
             (0, BState.ZERO, q0 * r),
             (0, BState.ONE, p0 * r),
         )
-        tail_start, tail_step = 1, 1
-        w = {BState.ZERO: (1.0 - r0) * q * r,
-             BState.ONE: (1.0 - r0) * p * r,
-             BState.STAR: 0.0}
+        base, slope, stay = 1, 1, r0
     else:
         # Left boundary: the cell just above the boundary has both parents
         # inside the island, so it never turns back into ?; the boundary
         # never retreats (max delta = 0) and the island keeps sliding left.
-        r0, q0, p0 = d.rr[0][x], d.qq[0][x], d.pp[0][x]
-        r1, q1, p1 = d.rr[1][x], d.qq[1][x], d.pp[1][x]
         head = (
             (0, BState.STAR, r0 * r1),
             (0, BState.ZERO, q0 * r1),
@@ -111,64 +61,47 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> IncrementLaw:
             (-1, BState.ZERO, q1 * r),
             (-1, BState.ONE, p1 * r),
         )
-        tail_start, tail_step = -2, -1
-        w = {BState.ZERO: (1.0 - r1) * q * r,
-             BState.ONE: (1.0 - r1) * p * r,
-             BState.STAR: 0.0}
-    law = IncrementLaw(side=side, from_state=y, head=head,
-                       tail_start=tail_start, tail_step=tail_step,
-                       ratio=1.0 - r, tail_weights=w)
+        base, slope, stay = -2, -1, r1
+    ratio = 1.0 - r
+    moves = tuple((delta, 0, s.value,
+                   worst.value if s is BState.STAR else s.value, prob)
+                  for delta, s, prob in head)
+    moves += tuple((base, slope, s.value, s.value, w / (1.0 - ratio))
+                   for s, w in ((BState.ZERO, (1.0 - stay) * q * r),
+                                (BState.ONE, (1.0 - stay) * p * r))
+                   if w > 0.0)
+    law = AtomLaw(moves, ratio)
     assert abs(law.total_mass() - 1.0) <= 64 * TOL_IDENTITY
     return law
 
 
-def sample_increment(law: IncrementLaw, rng: np.random.Generator):
+def sample_increment(law: AtomLaw, rng: np.random.Generator):
     """One exact draw of (delta, new state) from a law.
 
-    A scalar draw that shares no code with `AtomChain`; the tests use it as
-    the independent reference for the vectorised sampler.
+    A scalar draw over the move list that shares no code with `AtomChain`;
+    the tests use it as the independent reference for the vectorised
+    sampler.
     """
     u = rng.random()
-    acc = 0.0
-    for delta, s, prob in law.head:
-        acc += prob
-        if u < acc:
-            return delta, s
-    # tail: state and geometric index are independent
-    weights = [(s, w) for s, w in law.tail_weights.items() if w > 0.0]
-    total = sum(w for _, w in weights)
-    v = rng.random() * total
-    state = weights[-1][0]
-    for s, w in weights:
-        if v < w:
-            state = s
-            break
-        v -= w
-    if law.ratio == 0.0:
+    for base, slope, to, _, mass in law.moves:
+        if mass > 0.0:
+            # a u past the last move by rounding takes the last move
+            move = base, slope, to
+            if u < mass:
+                break
+            u -= mass
+    base, slope, to = move
+    if slope == 0 or law.ratio == 0.0:
         k = 0
     else:
         k = int(math.log(1.0 - rng.random()) / math.log(law.ratio))
-    return law.tail_start + law.tail_step * k, state
+    return base + slope * k, BState(to)
 
 
-def _sampler(d: DerivedParams, side: Side):
-    """The boundary's state chain as an `AtomChain`, and each state's class.
-
-    Class 0 carries the law from 0 and class 1 the law from 1; Star copies
-    the law of its worst-case concrete state, so it shares that class.  The
-    `to` labels are `BState` values.
-    """
-    cls = {BState.ZERO: 0, BState.ONE: 1,
-           BState.STAR: _worst_state(d, side).value}
-    moves = []
-    for y in (BState.ZERO, BState.ONE):
-        law = increment_law(d, side, y)
-        ms = [(delta, 0, s.value, cls[s], p) for delta, s, p in law.head]
-        ms += [(law.tail_start, law.tail_step, s.value, cls[s],
-                w / (1.0 - law.ratio))
-               for s, w in law.tail_weights.items() if w > 0.0]
-        moves.append(ms)
-    return AtomChain(moves, 1.0 - d.r), cls
+def _class_laws(d: DerivedParams, side: Side) -> tuple:
+    """The laws from 0 and from 1: class c steps by the law from c."""
+    return (increment_law(d, side, BState.ZERO),
+            increment_law(d, side, BState.ONE))
 
 
 @dataclass
@@ -234,9 +167,9 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     rng = np.random.default_rng(seed)
     x, y = creation_states(d, rng)
     pieces = [([0], [n0], np.int8([x.value]), np.int8([y.value]))]
-    left, cls_left = _sampler(d, Side.LEFT)
-    right, cls_right = _sampler(d, Side.RIGHT)
-    cx, cy = cls_left[x], cls_right[y]
+    left = AtomChain(*_class_laws(d, Side.LEFT))
+    right = AtomChain(*_class_laws(d, Side.RIGHT))
+    cx, cy = x.value, y.value
     t, i, j = 0, 0, n0
     done = until_gap is not None and n0 >= until_gap
     while t < horizon and not done:
@@ -290,39 +223,20 @@ def empirical_drift(d: DerivedParams, side: Side, steps: int, burn_in: int,
                     seed: int) -> DriftEstimate:
     """Monte Carlo estimate of the stationary boundary drift: the mean of
     `steps` increments of one chain started in 0, after `burn_in` steps."""
-    chain, cls = _sampler(d, side)
-    increments = chain.sample(np.random.default_rng(seed), cls[BState.ZERO],
+    chain = AtomChain(*_class_laws(d, side))
+    increments = chain.sample(np.random.default_rng(seed), BState.ZERO.value,
                               steps, burn_in).astype(float)
     return DriftEstimate(mean=float(increments.mean()),
                          stderr=batch_means_stderr(increments),
                          steps=steps, seed=seed)
 
 
-def marginal_chain(d: DerivedParams, side: Side) -> np.ndarray:
-    """Transition matrix of the simulated state chain, Star law included.
-
-    Differs from the analytic boundary chain in the Star row, which here is
-    the marginal of the substituted worst-case law.
-    """
-    rows = []
-    for s in (BState.ZERO, BState.ONE, BState.STAR):
-        m = increment_law(d, side, s).state_marginal()
-        rows.append([m[BState.ZERO], m[BState.ONE], m[BState.STAR]])
-    return np.array(rows)
-
-
 def exact_simulated_drift(d: DerivedParams, side: Side) -> float:
     """Stationary mean increment of the simulated (state, increment) chain.
 
-    The stationary law comes from the tree weights of the marginal chain;
-    ValueError when that chain has several closed classes, so no unique
-    stationary law.
+    The step law depends on the state only through its class (Star shares
+    its worst concrete state's), so this is `two_class_mean` of the laws
+    from 0 and from 1; ValueError when both classes are closed, so no
+    unique stationary law.
     """
-    w = tree_weights(marginal_chain(d, side))
-    total = sum(w)
-    if total == 0.0:
-        raise ValueError("marginal chain has several closed classes: "
-                         "no unique stationary law")
-    means = [increment_law(d, side, s).mean()
-             for s in (BState.ZERO, BState.ONE, BState.STAR)]
-    return sum(wi * m for wi, m in zip(w, means)) / total
+    return two_class_mean(*_class_laws(d, side))

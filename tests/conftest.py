@@ -16,6 +16,33 @@ def random_quads(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, 4))
 
 
+def truncated_expectation(law, mass_tol=1e-13):
+    """Independent oracle for `AtomLaw.mean`: sum the atoms, and each tail
+    family term by term until its remaining mass drops below mass_tol."""
+    total = 0.0
+    for base, slope, _, _, mass in law.moves:
+        if slope == 0:
+            total += base * mass
+            continue
+        k = 0
+        while mass * law.ratio ** k > mass_tol:
+            total += (base + slope * k) * mass * (1.0 - law.ratio) \
+                * law.ratio ** k
+            k += 1
+    return total
+
+
+def law_probs(law, max_k):
+    """P(delta, to) of a law, tail families enumerated up to K = max_k."""
+    probs = {}
+    for base, slope, to, _, mass in law.moves:
+        for k in range(max_k + 1 if slope else 1):
+            p = mass * (1.0 - law.ratio) * law.ratio ** k if slope else mass
+            probs[base + slope * k, to] = probs.get((base + slope * k, to),
+                                                    0.0) + p
+    return probs
+
+
 @pytest.fixture(scope="session")
 def artifacts_dir(tmp_path_factory):
     import pathlib

@@ -68,7 +68,7 @@ def test_criterion_1_algebraic_identities():
                 chain_row = chain.rows[s.value]
                 for b, idx in ((BState.ZERO, 0), (BState.ONE, 1),
                                (BState.STAR, 2)):
-                    if abs(marg[b] - chain_row[idx]) > 1e-12:
+                    if abs(marg[b.value] - chain_row[idx]) > 1e-12:
                         failures.append(("law-vs-chain", row))
     _finish(1, "algebraic identity suite (1e-12, 1e4 quads)",
             failures, time.perf_counter() - t0, 10.0)
@@ -166,9 +166,9 @@ def test_criterion_5_refined_closed_forms():
             failures.append(("mass-s1", eps))
         if abs(z.total_mass() - 1.0) > 1e-12:
             failures.append(("mass-00", eps))
-        if abs(s1.mean() - mean_s1(eps)) > 1e-9:
+        if abs(s1.mean() / 2 - mean_s1(eps)) > 1e-9:  # doubled units
             failures.append(("mean-s1", eps))
-        if abs(z.mean() - mean_00(eps)) > 1e-9:
+        if abs(z.mean() / 2 - mean_00(eps)) > 1e-9:
             failures.append(("mean-00", eps))
         if abs(refined_drift_bound(eps)
                - 2.0 * (mean_00(eps) + 0.5)) > 1e-12:

@@ -10,7 +10,10 @@ import pytest
 
 from pca_ergo import BState, ParamQuad, Side, derive
 from pca_ergo import refined, walk
-from pca_ergo.chain import BLOCK, AtomChain, _class_path
+from pca_ergo.chain import (BLOCK, AtomChain, AtomLaw, _class_path,
+                            two_class_mean)
+
+from conftest import law_probs
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 N_DRAWS = 10 ** 6
@@ -44,43 +47,35 @@ def assert_within_bands(delta, to, probs):
         assert abs(seen.get(key, 0) / n - p) <= 4 * sigma + 1e-9, key
 
 
+def walk_chain(d, side):
+    return AtomChain(walk.increment_law(d, side, BState.ZERO),
+                     walk.increment_law(d, side, BState.ONE))
+
+
 @pytest.mark.parametrize("side", list(Side))
 def test_walk_moves_within_multinomial_bands(side):
     d = derive(FIG1)
-    chain, cls = walk._sampler(d, side)
-    frm, delta, to = chain_moves(chain, cls[BState.ZERO], BState.ZERO.value,
+    frm, delta, to = chain_moves(walk_chain(d, side), 0, BState.ZERO.value,
                                  seed=101 + side.value)
     for s in BState:
         mask = frm == s.value
         assert mask.sum() > 10 ** 4, s
         law = walk.increment_law(d, side, s)
-        probs = {}
-        for dd, t, p in law.head:
-            probs[dd, t.value] = probs.get((dd, t.value), 0.0) + p
-        for t, w in law.tail_weights.items():
-            for k in range(MAX_DELTA + 1):
-                key = (law.tail_start + law.tail_step * k, t.value)
-                probs[key] = probs.get(key, 0.0) + w * law.ratio ** k
-        assert_within_bands(delta[mask], to[mask], probs)
+        assert_within_bands(delta[mask], to[mask],
+                            law_probs(law, MAX_DELTA))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.3])
 def test_refined_moves_within_multinomial_bands(eps):
-    chain = refined._sampler(eps)
-    frm, delta, to = chain_moves(chain, 1, 1, seed=int(eps * 1000))
-    for c, law in ((0, refined.refined_law_s1(eps)),
-                   (1, refined.refined_law_00(eps))):
-        mask = frm == c
-        assert mask.sum() > 10 ** 5, c
-        probs = {}
-        for dd, pair, p in law.head:
-            key = (dd, refined._CLASS[pair])
-            probs[key] = probs.get(key, 0.0) + p
-        for start, pair, w in law.tails:
-            for k in range(MAX_DELTA + 1):
-                key = (start + 2 * k, refined._CLASS[pair])
-                probs[key] = probs.get(key, 0.0) + w * law.ratio ** k
-        assert_within_bands(delta[mask], to[mask], probs)
+    s1, law00 = refined.refined_law_s1(eps), refined.refined_law_00(eps)
+    chain = AtomChain(s1, law00)
+    frm, delta, to = chain_moves(chain, 1, refined.REACHABLE.index("00"),
+                                 seed=int(eps * 1000))
+    for i, pair in enumerate(refined.REACHABLE):
+        mask = frm == i
+        assert mask.sum() > 10 ** 4, pair
+        law = s1 if pair in refined.S1 else law00
+        assert_within_bands(delta[mask], to[mask], law_probs(law, MAX_DELTA))
 
 
 def test_class_path_matches_step_by_step_loop():
@@ -98,8 +93,8 @@ def test_class_path_matches_step_by_step_loop():
 
 
 def test_burn_in_is_the_head_of_the_same_chain():
-    chain, cls = walk._sampler(derive(FIG1), Side.RIGHT)
-    c0 = cls[BState.ZERO]
+    chain = walk_chain(derive(FIG1), Side.RIGHT)
+    c0 = 0
     for steps, burn_in in ((3000, 0), (1500, 700), (10, BLOCK), (1, 1)):
         whole = chain.sample(np.random.default_rng(9), c0, burn_in + steps)
         tail = chain.sample(np.random.default_rng(9), c0, steps, burn_in)
@@ -108,7 +103,23 @@ def test_burn_in_is_the_head_of_the_same_chain():
 
 
 def test_rejects_bad_chains():
+    atom = ((0, 0, 0, 0, 1.0),)
     with pytest.raises(ValueError):
-        AtomChain([[(0, 0, 0, 0, 1.0)]], 0.5)
+        AtomChain(AtomLaw(atom, 0.5), AtomLaw(atom, 0.25))
     with pytest.raises(ValueError):
-        AtomChain([[(0, 0, 0, 0, 1.0)]] * 2, 1.0)
+        AtomChain(AtomLaw(atom, 1.0), AtomLaw(atom, 1.0))
+
+
+def test_two_class_mean():
+    # class 0 steps +1 and leaves w.p. 1/4; class 1 steps -2 and leaves
+    # w.p. 1/2: stationary weights 2/3 and 1/3, mean 0
+    law0 = AtomLaw(((1, 0, 0, 0, 0.75), (1, 0, 1, 1, 0.25)), 0.0)
+    law1 = AtomLaw(((-2, 0, 0, 0, 0.5), (-2, 0, 1, 1, 0.5)), 0.0)
+    assert two_class_mean(law0, law1) == 0.0
+    # a tail family of mass 1 adds slope * ratio / (1 - ratio)
+    assert AtomLaw(((3, 2, 0, 0, 1.0),), 0.5).mean() == 5.0
+    # both classes closed: no unique stationary law
+    stay0 = AtomLaw(((1, 0, 0, 0, 1.0),), 0.0)
+    stay1 = AtomLaw(((-1, 0, 1, 1, 1.0),), 0.0)
+    with pytest.raises(ValueError):
+        two_class_mean(stay0, stay1)

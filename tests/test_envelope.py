@@ -462,6 +462,12 @@ class TestRaster:
                       RingState(np.array([Q, 0], dtype=np.int8))])
         assert img.data.tolist() == [[255, 0], [128, 255]]
 
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_rejects_codes_outside_0_1_star(self, code):
+        with pytest.raises(ValueError, match=f"cell code {code} "):
+            raster([np.array([0, 1], dtype=np.int8),
+                    np.array([code, 0], dtype=np.int8)])
+
     def test_rejects_ragged_series(self):
         with pytest.raises(ValueError):
             raster([np.array([0, 1], dtype=np.int8),

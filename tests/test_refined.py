@@ -1,55 +1,21 @@
 import numpy as np
 import pytest
 
-from pca_ergo import Side, ca_with_error, derive, flip_conjugate
+from pca_ergo import ca_with_error, derive, flip_conjugate
 from pca_ergo.envelope import run_to_decorrelation
-from pca_ergo.refined import (REACHABLE, S1, STATE_00, STATE_STAR0, HalfInt,
-                              exact_refined_drift, mean_00, mean_s1,
-                              refined_drift_bound, refined_law_00,
-                              refined_law_s1, simulate_refined, sweep_to_csv,
-                              tilde_offset)
+from pca_ergo.refined import (REACHABLE, S1, exact_refined_drift, mean_00,
+                              mean_s1, refined_drift_bound, refined_law_00,
+                              refined_law_s1, simulate_refined, sweep_to_csv)
+
+from conftest import truncated_expectation
 
 EPS_GRID = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49]
 
 
-def law_expectation(law, mass_tol=1e-13):
-    """Independent oracle: enumerate head atoms and truncated tails."""
-    total = sum(dd * p for dd, _, p in law.head) / 2.0
-    for start, _, w in law.tails:
-        k = 0
-        remaining = w / (1.0 - law.ratio)
-        while remaining > mass_tol:
-            pk = w * law.ratio ** k
-            total += (start + 2 * k) / 2.0 * pk
-            remaining -= pk
-            k += 1
-    return total
-
-
-class TestHalfInt:
-    def test_arithmetic_and_rendering(self):
-        assert float(HalfInt(-1)) == -0.5
-        assert float(HalfInt(4)) == 2.0
-        assert str(HalfInt(3)) == "3/2"
-        assert str(HalfInt(-4)) == "-2"
-        assert HalfInt(3) + HalfInt(-1) == HalfInt(2)
-        assert HalfInt(3) - HalfInt(4) == HalfInt(-1)
-
-
-class TestTildeOffset:
-    def test_right_side(self):
-        for pair in ("01", "11", "*1"):
-            assert tilde_offset(pair, Side.RIGHT) == HalfInt(0)
-        assert tilde_offset("00", Side.RIGHT) == HalfInt(-1)
-        assert tilde_offset("10", Side.RIGHT) == HalfInt(-2)
-        assert tilde_offset("*0", Side.RIGHT) == HalfInt(-2)
-
-    def test_left_side_mirrors_with_opposite_sign(self):
-        for pair in ("10", "11", "1*"):
-            assert tilde_offset(pair, Side.LEFT) == HalfInt(0)
-        assert tilde_offset("00", Side.LEFT) == HalfInt(1)
-        assert tilde_offset("01", Side.LEFT) == HalfInt(2)
-        assert tilde_offset("0*", Side.LEFT) == HalfInt(2)
+def atoms(law):
+    """Head atoms as {(doubled delta, pair): prob}."""
+    return {(base, REACHABLE[to]): mass
+            for base, slope, to, _, mass in law.moves if slope == 0}
 
 
 class TestLaws:
@@ -62,20 +28,21 @@ class TestLaws:
                 assert law.ratio == pytest.approx(2 * eps, abs=1e-15)
 
     def test_specific_atoms(self):
-        law = refined_law_s1(0.1)
-        atoms = {(dd, s): p for dd, s, p in law.head}
-        assert atoms[(-1, "00")] == pytest.approx(0.9 * 0.9 * 0.8, abs=1e-15)
-        assert atoms[(-2, "10")] == pytest.approx(0.1 * 0.9 * 0.8, abs=1e-15)
-        law = refined_law_00(0.1)
-        atoms = {(dd, s): p for dd, s, p in law.head}
-        assert atoms[(-3, "*0")] == pytest.approx(0.8 * 0.1 * 0.8, abs=1e-15)
-        assert atoms[(-1, "*1")] == pytest.approx(0.8 * 0.9 * 0.8, abs=1e-15)
+        head = atoms(refined_law_s1(0.1))
+        assert head[(-1, "00")] == pytest.approx(0.9 * 0.9 * 0.8, abs=1e-15)
+        assert head[(-2, "10")] == pytest.approx(0.1 * 0.9 * 0.8, abs=1e-15)
+        head = atoms(refined_law_00(0.1))
+        assert head[(-3, "*0")] == pytest.approx(0.8 * 0.1 * 0.8, abs=1e-15)
+        assert head[(-1, "*1")] == pytest.approx(0.8 * 0.9 * 0.8, abs=1e-15)
 
     def test_only_reachable_pairs_appear(self):
+        # class 0 is S1, class 1 is {(0,0), (*,0)}
         for eps in (0.05, 0.3):
             for law in (refined_law_s1(eps), refined_law_00(eps)):
-                for s in law.state_marginal():
-                    assert s in REACHABLE
+                for _, slope, to, to_class, _ in law.moves:
+                    assert 0 <= to < len(REACHABLE)
+                    assert to_class == (REACHABLE[to] not in S1)
+                    assert slope in (0, 2)
 
     def test_rejects_eps_outside_open_interval(self):
         for eps in (0.0, 0.5, -0.1, 0.7):
@@ -94,14 +61,15 @@ class TestClosedForms:
 
     def test_means_match_law_expectations(self):
         for eps in EPS_GRID:
-            assert refined_law_s1(eps).mean() == pytest.approx(
+            # laws are in doubled displacements
+            assert refined_law_s1(eps).mean() / 2 == pytest.approx(
                 mean_s1(eps), abs=1e-9)
-            assert refined_law_00(eps).mean() == pytest.approx(
+            assert refined_law_00(eps).mean() / 2 == pytest.approx(
                 mean_00(eps), abs=1e-9)
-            assert law_expectation(refined_law_s1(eps)) == pytest.approx(
-                mean_s1(eps), abs=1e-9)
-            assert law_expectation(refined_law_00(eps)) == pytest.approx(
-                mean_00(eps), abs=1e-9)
+            assert truncated_expectation(refined_law_s1(eps)) / 2 == \
+                pytest.approx(mean_s1(eps), abs=1e-9)
+            assert truncated_expectation(refined_law_00(eps)) / 2 == \
+                pytest.approx(mean_00(eps), abs=1e-9)
 
     def test_bound_identity_and_sign(self):
         for eps in EPS_GRID:

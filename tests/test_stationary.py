@@ -127,7 +127,8 @@ def test_iteration_keywords_are_accepted_and_inert():
 def exact_refined_oracle(eps):
     """Stationary mean of the six-state refined pair chain, in Fractions.
 
-    Built from the float law tables, diagonal 1 - sum(off-diagonal); also
+    Built from the float law tables (moves labelled by their index in
+    REACHABLE, displacements doubled), diagonal 1 - sum(off-diagonal); also
     returns the scale sum(nu_s * |mean_s|) that float rounding acts on.
     """
     laws = {pair: refined_law_s1(eps) if pair in S1 else refined_law_00(eps)
@@ -137,12 +138,12 @@ def exact_refined_oracle(eps):
     m = [[Fraction(0)] * n for _ in range(n)]
     for a, s in enumerate(states):
         for t, mass in laws[s].state_marginal().items():
-            m[a][states.index(t)] += Fraction(mass)
+            m[a][t] += Fraction(mass)
         m[a][a] = 1 - sum(m[a][b] for b in range(n) if b != a)
     # nu (M - I) = 0 with the last balance equation replaced by sum = 1
     A = [[m[j][i] - (i == j) for j in range(n)] for i in range(n - 1)]
     nu = _solve(A + [[Fraction(1)] * n], [Fraction(0)] * (n - 1) + [Fraction(1)])
-    means = [Fraction(laws[s].mean()) for s in states]
+    means = [Fraction(laws[s].mean()) / 2 for s in states]
     return (sum(v * mu for v, mu in zip(nu, means)),
             sum(v * abs(mu) for v, mu in zip(nu, means)))
 

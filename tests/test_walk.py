@@ -1,46 +1,57 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
 from pca_ergo import (BState, ParamQuad, Side, asymptotic_increment_bound,
                       boundary_chain, ca_with_error, derive, mean_increment)
-from pca_ergo.walk import (DriftEstimate, IncrementLaw, batch_means_stderr,
+from pca_ergo.chain import AtomLaw
+from pca_ergo.params import tree_weights
+from pca_ergo.walk import (DriftEstimate, batch_means_stderr,
                            empirical_drift, exact_simulated_drift,
-                           increment_law, marginal_chain, sample_increment,
+                           increment_law, sample_increment,
                            simulate_island, trajectory_to_csv)
 
-from conftest import positive_quads, random_quads
+from conftest import (law_probs, positive_quads, random_quads,
+                      truncated_expectation)
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
+EDGE_LATTICE = np.array(list(itertools.product(np.linspace(0.0, 1.0, 7),
+                                               repeat=4)))
 
 
-def truncated_expectation(law, mass_tol=1e-12):
-    """Independent oracle: enumerate the law, cutting the tail when the
-    remaining geometric mass drops below mass_tol."""
-    total = sum(delta * p for delta, _, p in law.head)
-    w = sum(law.tail_weights.values())
-    if w == 0.0:
-        return total
-    k = 0
-    remaining = w / (1.0 - law.ratio)
-    while remaining > mass_tol:
-        pk = w * law.ratio ** k
-        total += (law.tail_start + law.tail_step * k) * pk
-        remaining -= pk
-        k += 1
-    return total
+def atoms(law):
+    return [(base, to, mass) for base, slope, to, _, mass in law.moves
+            if slope == 0]
+
+
+def tails(law):
+    return [(base, slope, to, mass) for base, slope, to, _, mass in law.moves
+            if slope != 0]
+
+
+def tree_weight_drift(d, side):
+    """Reference oracle: stationary law of the 3-state marginal chain of the
+    laws from 0, 1 and Star by the tree weights, against the law means."""
+    laws = [increment_law(d, side, s) for s in BState]
+    rows = [[law.state_marginal()[t.value] for t in BState] for law in laws]
+    w = tree_weights(np.array(rows))
+    if sum(w) == 0.0:
+        raise ValueError("several closed classes")
+    return sum(wi * law.mean() for wi, law in zip(w, laws)) / sum(w)
 
 
 class TestIncrementLaw:
     def test_fig1_right_zero_atoms(self):
         d = derive(FIG1)
         law = increment_law(d, Side.RIGHT, BState.ZERO)
-        minus_one = sum(p for delta, _, p in law.head if delta == -1)
+        minus_one = sum(p for delta, _, p in atoms(law) if delta == -1)
         assert minus_one == pytest.approx(0.5, abs=1e-12)  # r_0_0
-        zero = sum(p for delta, _, p in law.head if delta == 0)
+        zero = sum(p for delta, _, p in atoms(law) if delta == 0)
         assert zero == pytest.approx(0.25, abs=1e-12)      # (1-r_0_0) r
         # P(delta = k) = 0.25 * 0.5^k for k >= 1 via the tail
-        w = sum(law.tail_weights.values())
+        w = sum(mass for _, _, _, mass in tails(law)) * (1.0 - law.ratio)
         for k in range(1, 6):
             assert w * law.ratio ** (k - 1) == pytest.approx(
                 0.5 * 0.5 ** k * 0.5, abs=1e-12)
@@ -75,7 +86,8 @@ class TestIncrementLaw:
                     row = chain.rows[s.value]
                     for b, idx in ((BState.ZERO, 0), (BState.ONE, 1),
                                    (BState.STAR, 2)):
-                        assert marg[b] == pytest.approx(row[idx], abs=1e-12)
+                        assert marg[b.value] == pytest.approx(row[idx],
+                                                              abs=1e-12)
 
     def test_bounded_adverse_increments(self):
         # right head never goes below -1; the left boundary never retreats
@@ -83,18 +95,19 @@ class TestIncrementLaw:
         for quad in random_quads(200, seed=9):
             d = derive(ParamQuad(*quad))
             right = increment_law(d, Side.RIGHT, BState.ZERO)
-            assert min(delta for delta, _, _ in right.head) == -1
-            assert right.tail_step == 1 and right.tail_start == 1
+            assert min(delta for delta, _, _ in atoms(right)) == -1
+            assert {t[:2] for t in tails(right)} <= {(1, 1)}
             left = increment_law(d, Side.LEFT, BState.ONE)
-            assert max(delta for delta, _, _ in left.head) == 0
-            assert left.tail_step == -1 and left.tail_start == -2
+            assert max(delta for delta, _, _ in atoms(left)) == 0
+            assert {t[:2] for t in tails(left)} <= {(-2, -1)}
 
     def test_star_substitutes_worse_state(self):
         d = derive(FIG1)  # r_0_0 = 0.5 > r_0_1 = 0.1: worst right state is 0
         star = increment_law(d, Side.RIGHT, BState.STAR)
         zero = increment_law(d, Side.RIGHT, BState.ZERO)
-        assert star.head == zero.head
-        assert star.from_state is BState.STAR
+        assert star == zero
+        # a move into Star lands in the class of the worst state 0
+        assert {m[3] for m in star.moves if m[2] == BState.STAR.value} == {0}
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
@@ -107,10 +120,7 @@ class TestSampler:
     vectorised chain sampler is checked in tests/test_chain.py."""
 
     def test_degenerate_single_atom(self):
-        law = IncrementLaw(side=Side.RIGHT, from_state=BState.ZERO,
-                           head=((3, BState.ONE, 1.0),),
-                           tail_start=1, tail_step=1, ratio=0.5,
-                           tail_weights={s: 0.0 for s in BState})
+        law = AtomLaw(moves=((3, 0, BState.ONE.value, 1, 1.0),), ratio=0.5)
         rng = np.random.default_rng(0)
         for _ in range(100):
             assert sample_increment(law, rng) == (3, BState.ONE)
@@ -124,14 +134,9 @@ class TestSampler:
         total = 0.0
         for _ in range(n):
             delta, s = sample_increment(law, rng)
-            counts[(delta, s)] = counts.get((delta, s), 0) + 1
+            counts[(delta, s.value)] = counts.get((delta, s.value), 0) + 1
             total += delta
-        probs = {(delta, s): p for delta, s, p in law.head}
-        w = {s: v for s, v in law.tail_weights.items() if v > 0.0}
-        for k in range(12):
-            for s, v in w.items():
-                probs[(law.tail_start + law.tail_step * k, s)] = \
-                    v * law.ratio ** k
+        probs = law_probs(law, max_k=11)
         for key, p in probs.items():
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts.get(key, 0) / n - p) <= 4 * sigma + 1e-9, key
@@ -240,22 +245,65 @@ class TestEmpiricalDrift:
             -exact_simulated_drift(d, Side.RIGHT) - 1.0, abs=1e-12)
 
     def test_bound_is_a_lower_bound_on_simulated_drift(self):
+        # right drift >= its bound and left drift <= its bound, wherever
+        # both are defined: r > 0, a unique stationary law and no
+        # degenerate gamma cell
         count = 0
-        for quad in random_quads(60, seed=29):
+        for quad in np.concatenate((EDGE_LATTICE, random_quads(20000,
+                                                               seed=29))):
             d = derive(ParamQuad(*quad))
             if d.r <= 0.0:
                 continue
-            bound = asymptotic_increment_bound(d, Side.RIGHT)
-            exact = exact_simulated_drift(d, Side.RIGHT)
-            assert exact >= bound - 1e-10
-            count += 1
-        assert count > 50
+            for side, sign in ((Side.RIGHT, 1.0), (Side.LEFT, -1.0)):
+                try:
+                    exact = exact_simulated_drift(d, side)
+                    bound = asymptotic_increment_bound(d, side)
+                except ValueError:
+                    continue
+                assert sign * (exact - bound) >= -1e-10, (quad, side)
+                count += 1
+        assert count > 40000
         # and one Monte Carlo spot check
         d = derive(FIG1)
         est = empirical_drift(d, Side.RIGHT, steps=5 * 10 ** 4,
                               burn_in=10 ** 3, seed=31)
         assert est.mean >= asymptotic_increment_bound(d, Side.RIGHT) \
             - 3 * est.stderr
+
+    def test_two_class_oracle_matches_tree_weights(self):
+        # the two-class closed form against the stationary law of the
+        # 3-state marginal chain; both refuse exactly the same quads
+        answered = 0
+        for quad in np.concatenate((EDGE_LATTICE, random_quads(5000,
+                                                               seed=37))):
+            d = derive(ParamQuad(*quad))
+            for side in Side:
+                try:
+                    want = tree_weight_drift(d, side)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        exact_simulated_drift(d, side)
+                    continue
+                got = exact_simulated_drift(d, side)
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), \
+                    (quad, side)
+                answered += 1
+        assert answered > 4740 + 2 * 4900
+
+    def test_island_gap_grows_at_the_exact_drift_difference(self):
+        # the two boundaries are stepped independently, so past burn-in
+        # the gap j - i moves by exact(RIGHT) - exact(LEFT) a step on
+        # average
+        d = derive(FIG1)
+        want = (exact_simulated_drift(d, Side.RIGHT)
+                - exact_simulated_drift(d, Side.LEFT))
+        horizon, burn_in = 10 ** 5, 10 ** 3
+        for seed in range(5):
+            traj = simulate_island(d, n0=50, horizon=horizon, seed=seed)
+            assert len(traj) == horizon + 1
+            incr = np.diff(traj.j - traj.i)[burn_in:].astype(float)
+            se = batch_means_stderr(incr)
+            assert abs(incr.mean() - want) <= 4 * se, seed
 
     def test_exact_drift_needs_a_unique_stationary_law(self):
         # rule 0001 without errors: 0 and Star are both closed
