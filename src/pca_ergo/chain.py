@@ -10,12 +10,16 @@ the whole chain.
 A step's law depends on the from-state only through its law class, and both
 boundary chains have two classes, so the chain is sampled on the classes
 and its stationary mean step is a two-class closed form (`two_class_mean`).
-Each step uses two uniforms, drawn in blocks of `BLOCK` steps: x picks the
-move by inversion and y sets K.  Each class lists its moves with those into
-class 0 first, so the class after a step is one comparison of x with a
-threshold; the class path of a block then follows from a scan over the
-resulting maps {0,1} -> {0,1} (`_class_path`), and one search over both
-classes' tables finds the moves.
+Each step uses two uniforms: x picks the move by inversion and y sets K.
+The stream is laid out in blocks of `BLOCK` steps, each block drawing its x
+row and then its y row (`uniforms`); the sampler steps up to `GROUP` blocks
+in one vectorised pass, which reads the same stream as block-by-block
+draws.  Each class lists its moves with those into class 0 first, so the
+class after a step is one comparison of x with a threshold; the class path
+of a pass then follows from a scan over the resulting maps {0,1} -> {0,1}
+(`_class_path`), and one search over both classes' tables, started from a
+guide table (Chen and Asau's method for inversion by table lookup), finds
+the moves.
 """
 from __future__ import annotations
 
@@ -24,28 +28,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BLOCK = 1024
+BLOCK = 1024    # steps per block of the uniform stream
+GROUP = 4       # blocks per vectorised pass, chosen by a timing sweep
+_RAMP = np.arange(2, 2 * GROUP * BLOCK + 2, 2)   # 2 (t + 1) over one pass
+_GUIDE = 64     # guide-table cells per unit of the search value
+_GRID = np.arange(2 * _GUIDE + 1) / _GUIDE
 
 
-def _class_path(c0: int, next0: np.ndarray, next1: np.ndarray) -> np.ndarray:
-    """Class before each step, for a two-class chain started in class c0.
+def uniforms(rng: np.random.Generator, n: int, chains: int = 1) -> np.ndarray:
+    """(chains, 2, n) uniforms: the x and y rows of n steps of each of
+    `chains` chains stepped side by side.
+
+    The stream is that of per-block draws: block by block, the (2, BLOCK)
+    rows of chain 0, then of chain 1, ...; a last partial block draws
+    (chains, 2, rem).  Generator.random fills in order, so one draw of many
+    blocks reads the same numbers as one draw per block.
+    """
+    full, rem = divmod(n, BLOCK)
+    parts = []
+    if full:
+        u = rng.random((full, chains, 2, BLOCK))
+        parts.append(u.transpose(1, 2, 0, 3).reshape(chains, 2, full * BLOCK))
+    if rem:
+        parts.append(rng.random((chains, 2, rem)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+
+
+def _class_path(c0: int, next0: np.ndarray, next1: np.ndarray,
+                swaps: bool) -> np.ndarray:
+    """Class before each step, then after the last: n + 1 values 0/1 for a
+    two-class chain started in class c0.
 
     Step t sends class 0 to next0[t] and class 1 to next1[t] (booleans).
     After step t the class is the image of the last constant step L <= t,
     flipped once per swapping step in (L, t]; with no constant step, c0
-    flipped once per swapping step in [0, t].
+    flipped once per swapping step in [0, t].  swaps=False promises that no
+    step swaps (next0 & ~next1 is all false) and skips the flip scan.
     """
     n = len(next0)
-    parity = np.logical_xor.accumulate(next0 & ~next1)
+    ramp = _RAMP[:n] if n <= len(_RAMP) else np.arange(2, 2 * n + 2, 2)
     # at a constant step L store 2 (L + 1) + (image of L xor flips up to L),
-    # elsewhere c0 < 2; a running maximum then finds the last L
-    enc = np.where(next0 == next1,
-                   2 * np.arange(1, n + 1) + (next0 ^ parity), c0)
-    after = (np.maximum.accumulate(enc) & 1).astype(bool) ^ parity
-    path = np.empty(n, dtype=np.int64)
-    path[0] = c0
-    path[1:] = after[:-1]
-    return path
+    # elsewhere 0; behind a leading c0 < 2, a running maximum finds the
+    # last L
+    enc = np.empty(n + 1, dtype=np.int64)
+    enc[0] = c0
+    if swaps:
+        flips = np.zeros(n + 1, dtype=bool)
+        np.logical_xor.accumulate(next0 > next1, out=flips[1:])
+        np.add(ramp, next0 ^ flips[1:], out=enc[1:])
+    else:
+        np.add(ramp, next0, out=enc[1:])
+    enc[1:] *= next0 == next1
+    np.maximum.accumulate(enc, out=enc)
+    enc &= 1
+    if swaps:
+        enc ^= flips
+    return enc
 
 
 @dataclass(frozen=True)
@@ -111,55 +149,93 @@ class AtomChain:
                        key=lambda m: m[3])
                 for law in (law0, law1)]
         width = max(len(ms) for ms in kept)
-        rows, cums, self.threshold = [], [], []
+        rows, cum, self.threshold = [], [], []
         for c, ms in enumerate(kept):
             # class c's cumulative masses live in [c, c + 1]; padding in
             # front repeats the lower end, so its interval is empty
             pad = width - len(ms)
-            rows += [(0, 0, 0, 0, 0.0)] * pad + ms
-            cum = np.cumsum([m[4] for m in ms])
-            cum = c + np.concatenate((np.zeros(pad), cum / cum[-1]))
-            cums.append(cum)
+            rows += [(0, 0, 0)] * pad + [m[:3] for m in ms]
+            sums, total = [], 0.0
+            for m in ms:
+                total += m[4]
+                sums.append(total)
+            col = [float(c)] * pad + [c + s / total for s in sums]
+            cum += col
             # x >= threshold exactly when the search lands on a move into
             # class 1; with none, never
             first1 = pad + sum(m[3] == 0 for m in ms)
-            self.threshold.append(np.inf if first1 == width
-                                  else np.concatenate(([c], cum))[first1])
-        table = np.array(rows, dtype=float)
-        self.cum = np.concatenate(cums)
-        self.base = table[:, 0].astype(np.int64)
-        self.slope = table[:, 1].astype(np.int64)
-        self.to = table[:, 2].astype(np.int8)
+            self.threshold.append(math.inf if first1 == width
+                                  else ([float(c)] + col)[first1])
+        # guide table: guide[b] counts the cum entries <= b / _GUIDE, so a
+        # search value in cell b starts there and steps forward over the
+        # entries strictly inside the cell (`passes` is the most in one);
+        # the inf sentinel stops the steps at the end of the table
+        self.cum = np.array(cum + [math.inf])
+        self.guide = np.searchsorted(self.cum, _GRID, side="right")
+        below = np.searchsorted(self.cum, _GRID, side="left")
+        self.passes = int((below[1:] - self.guide[:-1]).max())
+        base, slope, to = zip(*rows)
+        self.base = np.array(base, dtype=np.int64)
+        self.slope = np.array(slope, dtype=np.int64)
+        self.to = np.array(to, dtype=np.int8)
+        # no step swaps the classes when every x that leaves class 0 for 1
+        # also keeps class 1 in 1; th1 - 1 is exact for th1 in [1, 2]
+        self.swaps = not self.threshold[0] >= self.threshold[1] - 1.0
 
-    def block(self, rng: np.random.Generator, c0: int, n: int):
-        """n steps from class c0: (displacements, `to` labels, last class).
+    def run(self, x: np.ndarray, y: np.ndarray, c0: int, labels: bool):
+        """Step from class c0 over one uniform pair (x[t], y[t]) per step:
+        (displacements, `to` labels or None, class after the last step).
 
         Class c searches x + c, so the class decision and the move come from
         the same rounded value.
         """
-        x, y = rng.random((2, n))
-        next0 = x >= self.threshold[0]
-        next1 = x + 1.0 >= self.threshold[1]
-        path = _class_path(c0, next0, next1)
-        move = np.minimum(np.searchsorted(self.cum, x + path, side="right"),
-                          len(self.cum) - 1)
-        delta = self.base[move]
+        path = _class_path(c0, x >= self.threshold[0],
+                           x + 1.0 >= self.threshold[1], self.swaps)
+        move = self._find(x + path[:-1])
+        # x + 1 rounds up to 2.0 for x within 2**-53 of 1, past the last
+        # move's upper end: clip to the last move
+        delta = self.base.take(move, mode="clip")
         if self.log_ratio is not None:
-            k = np.floor(np.log1p(-y) / self.log_ratio).astype(np.int64)
-            delta += self.slope[move] * k
-        last = next1[-1] if path[-1] else next0[-1]
-        return delta, self.to[move], int(last)
+            # K = floor(log1p(-y) / log ratio) >= 0, so the cast's
+            # truncation is the floor
+            k = np.negative(y)
+            np.log1p(k, out=k)
+            k /= self.log_ratio
+            delta += self.slope.take(move, mode="clip") * k.astype(np.int64)
+        to = self.to.take(move, mode="clip") if labels else None
+        return delta, to, int(path[-1])
+
+    def _find(self, xs: np.ndarray) -> np.ndarray:
+        """Count of cum entries <= each search value, as
+        np.searchsorted(cum, xs, side="right") finds it.  Scaling by the
+        power of two _GUIDE is exact, so a value lies in the cell its
+        truncation names."""
+        move = self.guide.take((xs * _GUIDE).astype(np.intp))
+        for _ in range(self.passes):
+            move += self.cum.take(move) <= xs
+        return move
+
+    def block(self, rng: np.random.Generator, c0: int, n: int):
+        """One block of n steps from class c0, drawn alone: (displacements,
+        `to` labels, last class).  The per-block reference for `sample`."""
+        x, y = rng.random((2, n))
+        return self.run(x, y, c0, True)
 
     def sample(self, rng: np.random.Generator, c0: int, steps: int,
                burn_in: int = 0) -> np.ndarray:
         """Displacements of `steps` moves that follow `burn_in` discarded
-        moves, all one chain started in class c0."""
+        moves, all one chain started in class c0, stepped `GROUP` blocks a
+        pass."""
+        if steps < 0 or burn_in < 0:
+            raise ValueError(f"steps ({steps}) and burn-in ({burn_in}) "
+                             "must be >= 0")
         out = np.empty(steps, dtype=np.int64)
         total = burn_in + steps
         c = c0
-        for lo in range(0, total, BLOCK):
-            n = min(BLOCK, total - lo)
-            delta, _, c = self.block(rng, c, n)
+        for lo in range(0, total, GROUP * BLOCK):
+            n = min(GROUP * BLOCK, total - lo)
+            x, y = uniforms(rng, n)[0]
+            delta, _, c = self.run(x, y, c, False)
             skip = max(0, burn_in - lo)
             if skip < n:
                 out[lo + skip - burn_in:lo + n - burn_in] = delta[skip:]

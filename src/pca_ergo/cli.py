@@ -219,7 +219,8 @@ def _add_param_flags(sp) -> None:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pca-ergo",
-        description="Ergodicity toolkit for two-neighbour binary PCA")
+        description="Ergodicity toolkit for two-neighbour binary PCA",
+        allow_abbrev=False)
     ap.add_argument("--config", help="JSON file of default flag values")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -276,15 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list) -> list:
-    """Fold --config file values in as defaults; explicit flags win."""
-    if "--config" not in argv:
+def _apply_config(argv: list) -> list:
+    """Fold --config file values in as defaults; explicit flags win.
+
+    Reads `--config FILE` or `--config=FILE`; the parser takes no
+    abbreviation of --config, so a shortened form is a usage error rather
+    than a dropped config.
+    """
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            if idx + 1 == len(argv):
+                raise CliError("--config needs a path")
+            path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+            break
+        if arg.startswith("--config="):
+            path, rest = arg[len("--config="):], argv[:idx] + argv[idx + 1:]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise CliError("--config needs a path")
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -295,7 +305,6 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list) -> list:
     if not isinstance(cfg, dict):
         raise CliError(f"config {path} must hold a JSON object, "
                        f"not {type(cfg).__name__}")
-    rest = argv[:idx] + argv[idx + 2:]
     if not rest:
         raise CliError("--config given without a subcommand")
     head, tail = rest[:1], rest[1:]
@@ -312,7 +321,7 @@ def main(argv: list | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
+        argv = _apply_config(argv)
         args = ap.parse_args(argv)
         return args.func(args)
     except CliError as exc:

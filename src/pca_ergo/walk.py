@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCK, AtomChain, AtomLaw, two_class_mean
+from .chain import (BLOCK, GROUP, AtomChain, AtomLaw, two_class_mean,
+                    uniforms)
 from .params import BState, DerivedParams, Side, TOL_IDENTITY
 
 
@@ -157,8 +158,10 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     Death is the first time the gap j - i drops below 3, after which the
     two boundaries are no longer independent.  With until_gap set, the
     trajectory also ends at the first state whose gap is >= until_gap.
-    Both boundaries are stepped in blocks of `chain.BLOCK` steps; the draws
-    after the last state are discarded.
+    Both boundaries are stepped side by side in passes of whole
+    `chain.BLOCK`-step blocks, one block on the first pass, then doubling up
+    to `chain.GROUP`, so an island that dies young draws one block; the
+    draws after the last state are discarded.
     """
     if n0 < 3:
         raise ValueError("initial gap must be >= 3")
@@ -172,10 +175,12 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     cx, cy = x.value, y.value
     t, i, j = 0, 0, n0
     done = until_gap is not None and n0 >= until_gap
+    g = 1
     while t < horizon and not done:
-        n = min(BLOCK, horizon - t)
-        di, xs, cx = left.block(rng, cx, n)
-        dj, ys, cy = right.block(rng, cy, n)
+        n = min(g * BLOCK, horizon - t)
+        (lx, ly), (rx, ry) = uniforms(rng, n, 2)
+        di, xs, cx = left.run(lx, ly, cx, True)
+        dj, ys, cy = right.run(rx, ry, cy, True)
         ii = i + np.cumsum(di)
         jj = j + np.cumsum(dj)
         stop = jj - ii < 3
@@ -186,6 +191,7 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
         m = int(hit[0]) + 1 if done else n
         pieces.append((ii[:m], jj[:m], xs[:m], ys[:m]))
         t, i, j = t + m, int(ii[m - 1]), int(jj[m - 1])
+        g = min(2 * g, GROUP)
     return Trajectory(*(np.concatenate(p) for p in zip(*pieces)))
 
 
@@ -215,8 +221,13 @@ def batch_means_stderr(values: np.ndarray, n_batches: int = 100) -> float:
     n = len(values) // n_batches
     if n < 1:
         raise ValueError("too few samples for batch means")
-    batches = values[: n * n_batches].reshape(n_batches, n).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
+    # np.std(ddof=1)'s arithmetic (pairwise sums, the same divisions) in
+    # fewer calls
+    batches = np.add.reduce(values[: n * n_batches].reshape(n_batches, n),
+                            axis=1) / n
+    dev = batches - np.add.reduce(batches) / n_batches
+    var = np.add.reduce(dev * dev) / (n_batches - 1)
+    return float(np.sqrt(var) / math.sqrt(n_batches))
 
 
 def empirical_drift(d: DerivedParams, side: Side, steps: int, burn_in: int,

@@ -10,7 +10,7 @@ import pytest
 
 from pca_ergo import BState, ParamQuad, Side, derive
 from pca_ergo import refined, walk
-from pca_ergo.chain import (BLOCK, AtomChain, AtomLaw, _class_path,
+from pca_ergo.chain import (BLOCK, GROUP, AtomChain, AtomLaw, _class_path,
                             two_class_mean)
 
 from conftest import law_probs
@@ -84,12 +84,67 @@ def test_class_path_matches_step_by_step_loop():
         for _ in range(50):
             next0 = rng.random(n) < rng.random()
             next1 = rng.random(n) < rng.random()
+            # no step swaps when every step that sends 0 to 1 keeps 1 in 1
+            calm1 = next0 | next1
             for c0 in (0, 1):
-                want, c = [], c0
-                for t in range(n):
+                for n1, swaps in ((next1, True), (calm1, True),
+                                  (calm1, False)):
+                    want, c = [], c0
+                    for t in range(n):
+                        want.append(c)
+                        c = int(n1[t] if c else next0[t])
                     want.append(c)
-                    c = int(next1[t] if c else next0[t])
-                assert _class_path(c0, next0, next1).tolist() == want
+                    assert _class_path(c0, next0, n1, swaps).tolist() == want
+
+
+def seam_chains():
+    d = derive(FIG1)
+    chains = [walk_chain(d, Side.RIGHT), walk_chain(d, Side.LEFT),
+              AtomChain(refined.refined_law_s1(0.2),
+                        refined.refined_law_00(0.2))]
+    # both class-path branches run
+    assert {chain.swaps for chain in chains} == {False, True}
+    return chains
+
+
+@pytest.mark.parametrize("total", [GROUP * BLOCK - 1, GROUP * BLOCK,
+                                   GROUP * BLOCK + 1, 2 * GROUP * BLOCK + 5])
+def test_sample_matches_block_by_block_draws(total):
+    # one pass of GROUP blocks reads the stream of one draw per block and
+    # carries the class across block and pass seams
+    for chain in seam_chains():
+        for c0 in (0, 1):
+            for burn_in in (0, BLOCK + 3, GROUP * BLOCK - 2, total):
+                rng = np.random.default_rng(total + burn_in)
+                deltas, c = [], c0
+                for lo in range(0, total, BLOCK):
+                    delta, _, c = chain.block(rng, c, min(BLOCK, total - lo))
+                    deltas.append(delta)
+                got = chain.sample(np.random.default_rng(total + burn_in), c0,
+                                   total - burn_in, burn_in)
+                assert np.array_equal(got, np.concatenate(deltas)[burn_in:])
+
+
+def test_guided_search_matches_searchsorted():
+    laws = [(walk.increment_law(derive(FIG1), side, BState.ZERO),
+             walk.increment_law(derive(FIG1), side, BState.ONE))
+            for side in Side]
+    laws.append((refined.refined_law_s1(0.2), refined.refined_law_00(0.2)))
+    # masses far below a guide cell, so a cell holds several entries
+    tiny = ((0, 1, 0, 0, 1e-9), (1, 1, 1, 1, 3e-9), (2, 0, 0, 0, 0.5),
+            (3, 0, 1, 1, 1e-12), (4, 0, 1, 1, 0.5 - 4e-9))
+    laws.append((AtomLaw(tiny, 0.5), AtomLaw(tiny[::-1], 0.5)))
+    rng = np.random.default_rng(12)
+    for law0, law1 in laws:
+        chain = AtomChain(law0, law1)
+        cum = chain.cum[:-1]
+        xs = np.concatenate((rng.random(5000) * 2.0, cum,
+                             np.nextafter(cum, 0.0), np.nextafter(cum, 3.0),
+                             np.arange(129) / 64, [2.0]))
+        xs = xs[(xs >= 0.0) & (xs <= 2.0)]
+        assert np.array_equal(chain._find(xs),
+                              np.searchsorted(cum, xs, side="right"))
+    assert chain.passes > 1
 
 
 def test_burn_in_is_the_head_of_the_same_chain():

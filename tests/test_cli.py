@@ -111,6 +111,19 @@ class TestDrift:
         assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "1000",
+     "--burn-in", "-5"),
+    ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "-1000"),
+    ("ca1000", "--eps", "0.2", "--mc-steps", "1000", "--burn-in", "-3"),
+    ("ca1000", "--eps", "0.2", "--mc-steps", "-1000"),
+], ids=" ".join)
+def test_negative_mc_steps_or_burn_in_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "must be >= 0" in err
+
+
 class TestSimulationCommands:
     def test_island_summary(self, capsys):
         code, out, _ = run(capsys, "island", "--params", "0.8,0.3,0.5,0.6",
@@ -200,6 +213,33 @@ class TestConfigAndErrors:
                            "--eps", "0.2")
         assert code == EXIT_OK
         assert json.loads(out)["lhs"] == pytest.approx(1.4, abs=1e-12)
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ca": "0011", "eps": 0.1}))
+        for argv, lhs in (((f"--config={cfg}", "check"), 1.2),
+                          (("check", f"--config={cfg}", "--eps", "0.2"), 1.4)):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert json.loads(out)["lhs"] == pytest.approx(lhs, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("--conf", "CFG", "check"), ("--c", "CFG", "check"),
+        ("--conf=CFG", "check"), ("check", "--conf", "CFG"),
+    ], ids=" ".join)
+    def test_config_abbreviation_is_a_usage_error(self, capsys, tmp_path,
+                                                  argv):
+        # argparse would otherwise take the abbreviation as --config and
+        # run without the file: here, with eps 0.1 in place of 0.2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 0.2}))
+        argv = [a.replace("CFG", str(cfg)) for a in argv]
+        try:
+            code = main(argv + ["--ca", "0011", "--eps", "0.1"])
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().out == ""
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "nope.json"),

@@ -92,6 +92,11 @@ class TestSimulation:
         b = simulate_refined(0.2, steps=10 ** 4, burn_in=100, seed=5)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
+    def test_rejects_negative_steps_or_burn_in(self):
+        for steps, burn_in in ((1000, -5), (-5, 1000)):
+            with pytest.raises(ValueError):
+                simulate_refined(0.2, steps=steps, burn_in=burn_in, seed=0)
+
     def test_matches_exact_pair_chain(self):
         for eps, seed in ((0.1, 1), (0.2, 2), (0.3, 3)):
             est = simulate_refined(eps, steps=2 * 10 ** 5, burn_in=10 ** 3,

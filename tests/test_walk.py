@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings
 
 from pca_ergo import (BState, ParamQuad, Side, asymptotic_increment_bound,
                       boundary_chain, ca_with_error, derive, mean_increment)
-from pca_ergo.chain import AtomLaw
+from pca_ergo.chain import BLOCK, AtomChain, AtomLaw
 from pca_ergo.params import tree_weights
 from pca_ergo.walk import (DriftEstimate, batch_means_stderr,
-                           empirical_drift, exact_simulated_drift,
-                           increment_law, sample_increment,
-                           simulate_island, trajectory_to_csv)
+                           creation_states, empirical_drift,
+                           exact_simulated_drift, increment_law,
+                           sample_increment, simulate_island,
+                           trajectory_to_csv)
 
 from conftest import (law_probs, positive_quads, random_quads,
                       truncated_expectation)
@@ -29,6 +30,34 @@ def atoms(law):
 def tails(law):
     return [(base, slope, to, mass) for base, slope, to, _, mass in law.moves
             if slope != 0]
+
+
+def island_block_by_block(d, n0, horizon, seed, until_gap=None):
+    """Reference island loop: one block at a time, the left boundary's
+    (2, n) uniforms drawn before the right's, stepped in Python until
+    death, the gap target or the horizon.  Lists of i, j, x, y."""
+    rng = np.random.default_rng(seed)
+    x, y = creation_states(d, rng)
+    left, right = (AtomChain(increment_law(d, side, BState.ZERO),
+                             increment_law(d, side, BState.ONE))
+                   for side in (Side.LEFT, Side.RIGHT))
+    i, j, xs, ys = [0], [n0], [x.value], [y.value]
+    cx, cy = x.value, y.value
+    done = until_gap is not None and n0 >= until_gap
+    while len(i) - 1 < horizon and not done:
+        n = min(BLOCK, horizon - (len(i) - 1))
+        di, tx, cx = left.block(rng, cx, n)
+        dj, ty, cy = right.block(rng, cy, n)
+        for k in range(n):
+            i.append(i[-1] + int(di[k]))
+            j.append(j[-1] + int(dj[k]))
+            xs.append(int(tx[k]))
+            ys.append(int(ty[k]))
+            gap = j[-1] - i[-1]
+            if gap < 3 or (until_gap is not None and gap >= until_gap):
+                done = True
+                break
+    return i, j, xs, ys
 
 
 def tree_weight_drift(d, side):
@@ -199,6 +228,31 @@ class TestIsland:
                                until_gap=8)
         assert len(traj) == 1 and traj[0].j - traj[0].i == 8
 
+    @pytest.mark.parametrize("quad, n0, until_gap, horizons", [
+        # pass seams (one block, then two, then four) fall after steps
+        # 1024, 3072, 7168 and 11264
+        (FIG1, 50, None, (1, 1023, 1024, 1025, 3071, 3072, 3073, 7169,
+                          11265)),
+        # the gap grows ~1.84 a step: targets reached across the seams
+        (FIG1, 50, 2000, (12000,)),
+        (FIG1, 50, 5700, (12000,)),
+        (FIG1, 50, 13300, (12000,)),
+        # drift ~ -0.01: deaths at scattered times
+        (ParamQuad(0.63, 0.82, 0.93, 0.16), 30, None, (12000,)),
+    ])
+    def test_passes_match_block_by_block_loop(self, quad, n0, until_gap,
+                                              horizons):
+        d = derive(quad)
+        lengths = set()
+        for horizon in horizons:
+            for seed in range(6):
+                traj = simulate_island(d, n0, horizon, seed, until_gap)
+                want = island_block_by_block(d, n0, horizon, seed, until_gap)
+                got = [a.tolist() for a in (traj.i, traj.j, traj.x, traj.y)]
+                assert got == list(want), (horizon, seed)
+                lengths.add(len(traj) - 1)
+        assert max(lengths) > BLOCK
+
     def test_seed_determinism(self):
         d = derive(FIG1)
         a = simulate_island(d, n0=5, horizon=200, seed=99)
@@ -310,6 +364,24 @@ class TestEmpiricalDrift:
         d = derive(ca_with_error("0001", 0.0))
         with pytest.raises(ValueError):
             exact_simulated_drift(d, Side.RIGHT)
+
+    def test_batch_means_is_numpy_std_of_batch_means(self):
+        rng = np.random.default_rng(8)
+        series = [rng.standard_normal(n) * 3.0 + 0.7
+                  for n in (100, 157, 40000)]
+        # integer increments, as the walks make
+        series += [rng.integers(-3, 9, n).astype(float) for n in (6000, 13500)]
+        for values in series:
+            m = len(values) // 100
+            batches = values[:100 * m].reshape(100, m).mean(axis=1)
+            assert batch_means_stderr(values) == np.std(batches, ddof=1) / 10
+
+    def test_negative_steps_or_burn_in_rejected(self):
+        d = derive(FIG1)
+        for steps, burn_in in ((1000, -5), (-5, 1000), (-1, 0)):
+            with pytest.raises(ValueError):
+                empirical_drift(d, Side.RIGHT, steps=steps, burn_in=burn_in,
+                                seed=0)
 
     def test_batch_means_requires_enough_samples(self):
         with pytest.raises(ValueError):
