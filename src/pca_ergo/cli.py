@@ -143,9 +143,9 @@ def cmd_island(args) -> int:
         except OSError as exc:
             raise CliError(str(exc), EXIT_IO) from exc
     else:
-        last = traj[-1]
-        print(json.dumps({"steps": last.t, "gap": last.j - last.i,
-                          "alive": last.alive, "seed": args.seed}))
+        print(json.dumps({"steps": len(traj.i) - 1,
+                          "gap": int(traj.j[-1] - traj.i[-1]),
+                          "alive": bool(traj.alive[-1]), "seed": args.seed}))
     return EXIT_OK
 
 

@@ -415,16 +415,16 @@ def condition_check(d: DerivedParams) -> ConditionReport:
                            holds=lhs > rhs, w0=w0, w1=w1, drift_bound=drift)
 
 
-def bisect_crossover(code: str, lo: float = 1e-9, hi: float = 0.5,
-                     iters: int = 60) -> float:
+def bisect_crossover(code: str) -> float:
     """Smallest error rate at which the condition starts to hold for a CA.
 
-    Assumes the condition fails at `lo` and holds at `hi` (the four rules the
-    condition misses near zero error).
+    Bisects 60 times over [1e-9, 1/2], assuming the condition fails at 1e-9
+    and holds at 1/2 (the four rules the condition misses near zero error).
     """
+    lo, hi = 1e-9, 0.5
     if condition_check(derive(ca_with_error(code, lo))).holds:
         raise ValueError(f"condition already holds at eps={lo} for CA {code}")
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if condition_check(derive(ca_with_error(code, mid))).holds:
             hi = mid

@@ -145,7 +145,9 @@ class VolumeEstimate:
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95):
+def wilson_interval(hits: int, n: int):
+    """95% Wilson score interval of a binomial proportion hits / n."""
+    z = _Z95
     phat = hits / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -154,14 +156,14 @@ def wilson_interval(hits: int, n: int, z: float = _Z95):
     return center - half, center + half
 
 
-def volume_estimate(samples: int, seed: int,
-                    batch: int = 1 << 17) -> VolumeEstimate:
+def volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     """Monte Carlo fraction of uniform parameters satisfying the condition.
 
     Degenerate closed-form cells (a measure-zero event) count as misses and
     are tallied.  Work is split into fixed batches with per-batch counter
     streams.
     """
+    batch = 1 << 17  # batch k draws from Philox counter [0, 0, 1, k]
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
@@ -204,9 +206,9 @@ class RenewalSummary:
 
 
 def renewal_experiment(d, threshold: int, runs: int, seed: int,
-                       n0: int = 3, attempt_cap: int = 200,
+                       attempt_cap: int = 200,
                        horizon: int = 10 ** 4) -> RenewalSummary:
-    """Spawn islands until one grows past a threshold gap; repeat per run.
+    """Spawn islands of gap 3 until one passes a threshold gap; repeat per run.
 
     Each island stops at death, at the horizon or at the first gap >=
     threshold, so a run's total_steps counts the steps actually simulated.
@@ -222,11 +224,11 @@ def renewal_experiment(d, threshold: int, runs: int, seed: int,
         total = 0
         while attempts < attempt_cap:
             attempts += 1
-            traj = simulate_island(d, n0=n0, horizon=horizon,
+            traj = simulate_island(d, n0=3, horizon=horizon,
                                    seed=int(rng.integers(2 ** 63)),
                                    until_gap=threshold)
-            total += traj[-1].t
-            if traj[-1].j - traj[-1].i >= threshold:
+            total += len(traj.i) - 1
+            if traj.j[-1] - traj.i[-1] >= threshold:
                 break
         else:
             censored += 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,29 +75,6 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> AtomLaw:
     return law
 
 
-def sample_increment(law: AtomLaw, rng: np.random.Generator):
-    """One exact draw of (delta, new state) from a law.
-
-    A scalar draw over the move list that shares no code with `AtomChain`;
-    the tests use it as the independent reference for the vectorised
-    sampler.
-    """
-    u = rng.random()
-    for base, slope, to, _, mass in law.moves:
-        if mass > 0.0:
-            # a u past the last move by rounding takes the last move
-            move = base, slope, to
-            if u < mass:
-                break
-            u -= mass
-    base, slope, to = move
-    if slope == 0 or law.ratio == 0.0:
-        k = 0
-    else:
-        k = int(math.log(1.0 - rng.random()) / math.log(law.ratio))
-    return base + slope * k, BState(to)
-
-
 def _class_laws(d: DerivedParams, side: Side) -> tuple:
     """The laws from 0 and from 1: class c steps by the law from c."""
     return (increment_law(d, side, BState.ZERO),
@@ -107,7 +83,7 @@ def _class_laws(d: DerivedParams, side: Side) -> tuple:
 
 @dataclass
 class IslandState:
-    """Snapshot of one decorrelated island: boundary positions and states."""
+    """One row of a `Trajectory`: step t, boundary positions and states."""
 
     t: int
     i: int
@@ -115,45 +91,48 @@ class IslandState:
     x: BState
     y: BState
 
+
+# eq=False: a generated __eq__ would compare the arrays elementwise
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """States of one island at t = 0, 1, ..., one entry per step: boundary
+    positions i and j, and the boundary states x and y as int8 `BState`
+    codes."""
+
+    i: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
     @property
-    def alive(self) -> bool:
+    def alive(self) -> np.ndarray:
+        """Per step, whether the island is alive: its gap j - i is >= 3."""
         return self.j - self.i >= 3
 
-
-class Trajectory(Sequence):
-    """States of one island at t = 0, 1, ..., kept as arrays of boundary
-    positions and `BState` values; indexing builds the `IslandState`s."""
-
-    def __init__(self, i: np.ndarray, j: np.ndarray, x: np.ndarray,
-                 y: np.ndarray):
-        self.i, self.j, self.x, self.y = i, j, x, y
-
-    def __len__(self) -> int:
-        return len(self.i)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[t] for t in range(*k.indices(len(self)))]
-        t = range(len(self))[k]
+    def __getitem__(self, k) -> IslandState:
+        """Row k as an `IslandState`.  The package reads the arrays; the
+        benchmark's tracer (perfbench/tracer.py) reads `traj[-1].t` and
+        iterates the rows."""
+        t = range(len(self.i))[k]
         return IslandState(t=t, i=int(self.i[t]), j=int(self.j[t]),
                            x=BState(int(self.x[t])), y=BState(int(self.y[t])))
 
 
-def creation_states(d: DerivedParams, rng: np.random.Generator,
-                    n: int = 2) -> list:
-    """Boundary values at island creation: the envelope (?,?) outcome
-    conditioned on being decorrelated, i.e. 0 w.p. q/(p+q), 1 w.p. p/(p+q)."""
+def creation_states(d: DerivedParams, rng: np.random.Generator) -> list:
+    """Both boundary values at island creation: the envelope (?,?) outcome
+    conditioned on being decorrelated, 0 w.p. q/(p+q), 1 w.p. p/(p+q)."""
     if d.p + d.q <= 0.0:
         raise ValueError("island creation impossible when p + q = 0")
     prob_one = d.p / (d.p + d.q)
     return [BState.ONE if rng.random() < prob_one else BState.ZERO
-            for _ in range(n)]
+            for _ in range(2)]
 
 
 def simulate_island(d: DerivedParams, n0: int, horizon: int,
                     seed: int, until_gap: int | None = None) -> Trajectory:
-    """Trajectory of one island started with gap n0, until death or horizon,
-    as a sequence of `IslandState`s.
+    """Trajectory of one island started with gap n0, until death or horizon:
+    the arrays of its states at t = 0, 1, ..., so horizon = 0 gives the start
+    state alone.
 
     Death is the first time the gap j - i drops below 3, after which the
     two boundaries are no longer independent.  With until_gap set, the
@@ -165,6 +144,8 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     """
     if n0 < 3:
         raise ValueError("initial gap must be >= 3")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     if d.r <= 0.0:
         raise ValueError("island simulation requires r > 0")
     rng = np.random.default_rng(seed)
@@ -195,15 +176,18 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     return Trajectory(*(np.concatenate(p) for p in zip(*pieces)))
 
 
-def trajectory_to_csv(traj: Sequence, path: str) -> None:
+def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory as CSV with columns t,i,j,x,y,alive."""
+    states = np.array([str(BState(code)) for code in range(3)])
+    alive = np.where(traj.alive, "true", "false")
+    rows = zip(range(len(traj.i)), traj.i.tolist(), traj.j.tolist(),
+               states[traj.x].tolist(), states[traj.y].tolist(),
+               alive.tolist())
     try:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "i", "j", "x", "y", "alive"])
-            for s in traj:
-                w.writerow([s.t, s.i, s.j, str(s.x), str(s.y),
-                            "true" if s.alive else "false"])
+            w.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write trajectory to {path}: {exc}") from exc
 
@@ -216,8 +200,10 @@ class DriftEstimate:
     seed: int
 
 
-def batch_means_stderr(values: np.ndarray, n_batches: int = 100) -> float:
-    """Standard error of the mean of an autocorrelated series."""
+def batch_means_stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of an autocorrelated series, from the
+    means of 100 equal batches."""
+    n_batches = 100
     n = len(values) // n_batches
     if n < 1:
         raise ValueError("too few samples for batch means")

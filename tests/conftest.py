@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pca_ergo import ParamQuad
+from pca_ergo import BState, ParamQuad
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 open_probs = st.floats(min_value=1e-3, max_value=1.0 - 1e-3, allow_nan=False)
@@ -30,6 +32,29 @@ def truncated_expectation(law, mass_tol=1e-13):
                 * law.ratio ** k
             k += 1
     return total
+
+
+def sample_increment(law, rng: np.random.Generator):
+    """One exact draw of (delta, new state) from a law.
+
+    A scalar draw over the move list that shares no code with `AtomChain`;
+    the tests use it as the independent reference for the vectorised
+    sampler.
+    """
+    u = rng.random()
+    for base, slope, to, _, mass in law.moves:
+        if mass > 0.0:
+            # a u past the last move by rounding takes the last move
+            move = base, slope, to
+            if u < mass:
+                break
+            u -= mass
+    base, slope, to = move
+    if slope == 0 or law.ratio == 0.0:
+        k = 0
+    else:
+        k = int(math.log(1.0 - rng.random()) / math.log(law.ratio))
+    return base + slope * k, BState(to)
 
 
 def law_probs(law, max_k):

@@ -1,6 +1,6 @@
 """The vectorised atom-chain sampler against the exact laws it samples.
 
-`walk.sample_increment` stays the scalar reference draw (tests/test_walk.py);
+`conftest.sample_increment` is the scalar reference draw (tests/test_walk.py);
 here the block sampler is checked directly: per from-state, the moves a long
 chain makes from that state are i.i.d. draws of its law, so their (delta,
 to) frequencies must lie in the law's multinomial bands.

@@ -133,6 +133,20 @@ class TestSimulationCommands:
         assert data["seed"] == DEFAULT_SEED
         assert data["steps"] <= 200
 
+    def test_island_summary_reads_the_last_state(self, capsys):
+        # this island dies on its first step
+        code, out, _ = run(capsys, "island", "--params", "0.8,0.3,0.5,0.6",
+                           "--gap", "3", "--seed", "5")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"steps": 1, "gap": 2, "alive": False,
+                                   "seed": 5}
+
+    def test_island_negative_horizon_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "island", "--params", "0.8,0.3,0.5,0.6",
+                             "--horizon", "-1")
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and "horizon" in err
+
     def test_island_csv(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"
         code, _, _ = run(capsys, "island", "--params", "0.8,0.3,0.5,0.6",

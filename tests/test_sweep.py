@@ -166,10 +166,10 @@ class TestRenewal:
         for attempts, total in zip(summary.attempts, summary.total_steps):
             run = trajs[k:k + attempts]
             k += attempts
-            assert total == sum(len(t) - 1 for t in run)
-            assert run[-1][-1].j - run[-1][-1].i >= 20
+            assert total == sum(len(t.i) - 1 for t in run)
+            assert run[-1].j[-1] - run[-1].i[-1] >= 20
             for traj in run:
-                assert all(s.j - s.i < 20 for s in traj[:-1])
+                assert ((traj.j - traj.i)[:-1] < 20).all()
 
     def test_determinism(self):
         d = derive(FIG1)

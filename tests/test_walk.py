@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -11,11 +12,10 @@ from pca_ergo.params import tree_weights
 from pca_ergo.walk import (DriftEstimate, batch_means_stderr,
                            creation_states, empirical_drift,
                            exact_simulated_drift, increment_law,
-                           sample_increment, simulate_island,
-                           trajectory_to_csv)
+                           simulate_island, trajectory_to_csv)
 
 from conftest import (law_probs, positive_quads, random_quads,
-                      truncated_expectation)
+                      sample_increment, truncated_expectation)
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 EDGE_LATTICE = np.array(list(itertools.product(np.linspace(0.0, 1.0, 7),
@@ -145,8 +145,8 @@ class TestIncrementLaw:
 
 
 class TestSampler:
-    """The scalar `sample_increment` is the independent reference draw; the
-    vectorised chain sampler is checked in tests/test_chain.py."""
+    """The scalar `conftest.sample_increment` is the independent reference
+    draw; the vectorised chain sampler is checked in tests/test_chain.py."""
 
     def test_degenerate_single_atom(self):
         law = AtomLaw(moves=((3, 0, BState.ONE.value, 1, 1.0),), ratio=0.5)
@@ -189,7 +189,7 @@ class TestIsland:
         runs = 300
         for seed in range(runs):
             traj = simulate_island(d, n0=10, horizon=2000, seed=seed)
-            if traj[-1].alive:
+            if traj.alive[-1]:
                 survived += 1
         assert survived > runs // 2
 
@@ -198,10 +198,10 @@ class TestIsland:
         died = False
         for seed in range(50):
             traj = simulate_island(d, n0=3, horizon=10 ** 4, seed=seed)
-            if not traj[-1].alive:
+            if not traj.alive[-1]:
                 died = True
-                assert traj[-1].j - traj[-1].i < 3
-                assert all(s.alive for s in traj[:-1])
+                assert traj.j[-1] - traj.i[-1] < 3
+                assert traj.alive[:-1].all()
         assert died
 
     def test_stops_at_first_death_or_first_gap_reached(self):
@@ -216,17 +216,17 @@ class TestIsland:
             for seed in range(40):
                 traj = simulate_island(d, n0=n0, horizon=horizon, seed=seed,
                                        until_gap=until)
-                reached = [until is not None and s.j - s.i >= until
-                           for s in traj]
-                assert all(s.alive for s in traj[:-1])
-                assert not any(reached[:-1])
-                last = traj[-1]
-                assert not last.alive or reached[-1] or last.t == horizon
+                reached = (traj.j - traj.i >= until if until is not None
+                           else np.zeros(len(traj.i), bool))
+                assert traj.alive[:-1].all()
+                assert not reached[:-1].any()
+                assert (not traj.alive[-1] or reached[-1]
+                        or len(traj.i) - 1 == horizon)
 
     def test_until_gap_at_or_below_start_stops_at_once(self):
         traj = simulate_island(derive(FIG1), n0=8, horizon=100, seed=3,
                                until_gap=8)
-        assert len(traj) == 1 and traj[0].j - traj[0].i == 8
+        assert len(traj.i) == 1 and traj.j[0] - traj.i[0] == 8
 
     @pytest.mark.parametrize("quad, n0, until_gap, horizons", [
         # pass seams (one block, then two, then four) fall after steps
@@ -250,19 +250,34 @@ class TestIsland:
                 want = island_block_by_block(d, n0, horizon, seed, until_gap)
                 got = [a.tolist() for a in (traj.i, traj.j, traj.x, traj.y)]
                 assert got == list(want), (horizon, seed)
-                lengths.add(len(traj) - 1)
+                lengths.add(len(traj.i) - 1)
         assert max(lengths) > BLOCK
 
     def test_seed_determinism(self):
         d = derive(FIG1)
         a = simulate_island(d, n0=5, horizon=200, seed=99)
         b = simulate_island(d, n0=5, horizon=200, seed=99)
-        assert [(s.t, s.i, s.j, s.x, s.y) for s in a] == \
-               [(s.t, s.i, s.j, s.x, s.y) for s in b]
+        for u, v in zip((a.i, a.j, a.x, a.y), (b.i, b.j, b.x, b.y)):
+            assert u.dtype == v.dtype and np.array_equal(u, v)
 
     def test_rejects_small_gap(self):
         with pytest.raises(ValueError):
             simulate_island(derive(FIG1), n0=2, horizon=10, seed=0)
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_island(derive(FIG1), n0=5, horizon=-1, seed=0)
+        traj = simulate_island(derive(FIG1), n0=5, horizon=0, seed=0)
+        assert traj.i.tolist() == [0] and traj.j.tolist() == [5]
+
+    def test_rows_are_the_arrays(self):
+        # the row view that perfbench's tracer reads
+        traj = simulate_island(derive(FIG1), n0=4, horizon=300, seed=2)
+        rows = list(traj)
+        assert len(rows) == len(traj.i) and traj[-1] == rows[-1]
+        assert [(s.t, s.i, s.j, s.x.value, s.y.value) for s in rows] == \
+            list(zip(range(len(traj.i)), traj.i.tolist(), traj.j.tolist(),
+                     traj.x.tolist(), traj.y.tolist()))
 
     def test_csv_export(self, tmp_path):
         d = derive(FIG1)
@@ -271,10 +286,44 @@ class TestIsland:
         trajectory_to_csv(traj, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,i,j,x,y,alive"
-        assert len(lines) == len(traj) + 1
+        assert len(lines) == len(traj.i) + 1
         first = lines[1].split(",")
         assert first[:3] == ["0", "0", "4"]
         assert first[3] in "01*" and first[4] in "01*"
+
+    def test_csv_matches_per_row_writer(self, tmp_path):
+        # reference: one row at a time, each state through its BState
+        def per_row(traj, path):
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["t", "i", "j", "x", "y", "alive"])
+                for t in range(len(traj.i)):
+                    i, j = int(traj.i[t]), int(traj.j[t])
+                    w.writerow([t, i, j, str(BState(int(traj.x[t]))),
+                                str(BState(int(traj.y[t]))),
+                                "true" if j - i >= 3 else "false"])
+
+        died = survived = reached = 0
+        stars = set()
+        for quad, n0, horizon, until in ((FIG1, 10, 3000, None),
+                                         (FIG1, 3, 600, 40),
+                                         (FIG1, 5, 0, None),
+                                         (ca_with_error("1000", 0.01), 3,
+                                          2000, None)):
+            d = derive(quad)
+            for seed in range(4):
+                traj = simulate_island(d, n0, horizon, seed, until)
+                trajectory_to_csv(traj, str(tmp_path / "got.csv"))
+                per_row(traj, tmp_path / "want.csv")
+                assert (tmp_path / "got.csv").read_bytes() == \
+                    (tmp_path / "want.csv").read_bytes()
+                gap = int(traj.j[-1] - traj.i[-1])
+                died += gap < 3
+                reached += until is not None and gap >= until
+                survived += len(traj.i) == horizon + 1 and gap >= 3
+                stars |= {c for c in "xy"
+                          if (getattr(traj, c) == BState.STAR.value).any()}
+        assert died and survived and reached and stars == {"x", "y"}
 
 
 class TestEmpiricalDrift:
@@ -354,7 +403,7 @@ class TestEmpiricalDrift:
         horizon, burn_in = 10 ** 5, 10 ** 3
         for seed in range(5):
             traj = simulate_island(d, n0=50, horizon=horizon, seed=seed)
-            assert len(traj) == horizon + 1
+            assert len(traj.i) == horizon + 1
             incr = np.diff(traj.j - traj.i)[burn_in:].astype(float)
             se = batch_means_stderr(incr)
             assert abs(incr.mean() - want) <= 4 * se, seed
