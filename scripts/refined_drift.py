@@ -20,8 +20,9 @@ def main():
     args = ap.parse_args()
 
     grid = [float(v) for v in args.grid.split(",")]
-    sweep_to_csv(grid, args.out, steps=args.steps, burn_in=args.burn_in,
-                 seed=args.seed)
+    text = sweep_to_csv(grid, args.steps, args.burn_in, args.seed)
+    with open(args.out, "w", newline="") as fh:
+        fh.write(text)
     print(f"wrote {len(grid)} rows to {args.out}")
 
 

@@ -52,17 +52,21 @@ def _parse_quad(args) -> ParamQuad:
         raise CliError(str(exc)) from exc
 
 
+def _write(path: str, data: bytes) -> None:
+    """The one file writer: data to path, an OSError as exit 4."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+
+
 def _emit(args, text: str) -> None:
     """Write text, ending in exactly one newline, to --out or stdout."""
     if not text.endswith("\n"):
         text += "\n"
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
+    if args.out:
+        _write(args.out, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -138,10 +142,7 @@ def cmd_island(args) -> int:
     traj = walk.simulate_island(d, n0=args.gap, horizon=args.horizon,
                                 seed=args.seed)
     if args.out:
-        try:
-            walk.trajectory_to_csv(traj, args.out)
-        except OSError as exc:
-            raise CliError(str(exc), EXIT_IO) from exc
+        _write(args.out, walk.trajectory_to_csv(traj).encode())
     else:
         print(json.dumps({"steps": len(traj.i) - 1,
                           "gap": int(traj.j[-1] - traj.i[-1]),
@@ -154,17 +155,11 @@ def cmd_envelope(args) -> int:
     size = dict(n=args.cells, max_steps=args.max_steps, seed=args.seed)
     if args.pgm:
         hit, density, ras = env.run_with_raster(d, **size)
-        try:
-            env.write_pgm(ras, args.pgm)
-        except OSError as exc:
-            raise CliError(str(exc), EXIT_IO) from exc
+        _write(args.pgm, env.raster_to_pgm(ras))
     else:
         hit, density = env.run_to_decorrelation(d, **size)
     if args.out:
-        try:
-            env.density_to_csv(density, args.out)
-        except OSError as exc:
-            raise CliError(str(exc), EXIT_IO) from exc
+        _write(args.out, env.density_to_csv(density).encode())
     print(json.dumps({"hit_time": hit, "cells": args.cells,
                       "seed": args.seed}))
     return EXIT_OK

@@ -228,9 +228,12 @@ def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
     Returns (hit_time or None, density) where density is the per-step
     ?-density as exact (numerator, denominator) pairs.  `_rows`, when
     given, receives each step's cells (see `run_with_raster`).  The seed
-    is checked even when no step is drawn.
+    is checked even when no step is drawn; max_steps must be >= 0, and 0
+    gives the start ring alone.
     """
     _checked_int("seed", seed, 128)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     ring = all_q_ring(n)
     density = [(ring.q_count(), n)]
     cells = ring.cells
@@ -251,32 +254,23 @@ def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
 def run_with_raster(d: DerivedParams, n: int, max_steps: int, seed: int):
     """`run_to_decorrelation` that also keeps the space-time raster.
 
-    One pass: returns (hit_time or None, density, SpaceTimeRaster) with
-    one raster row per density entry.
+    One pass: returns (hit_time or None, density, raster) with one raster
+    row per density entry.
     """
     rows: list = []
     hit, density = run_to_decorrelation(d, n, max_steps, seed, _rows=rows)
     return hit, density, raster(rows)
 
 
-def density_to_csv(density: list, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write("step,q_density_num,q_density_den\n")
-            for step, (num, den) in enumerate(density):
-                fh.write(f"{step},{num},{den}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write density series to {path}: {exc}") from exc
+def density_to_csv(density: list) -> str:
+    """The ?-density series as CSV text: step, numerator, denominator."""
+    return "step,q_density_num,q_density_den\n" + "".join(
+        f"{step},{num},{den}\n" for step, (num, den) in enumerate(density))
 
 
-@dataclass
-class SpaceTimeRaster:
-    """Time-major byte raster: 0 -> 255, 1 -> 0, ? -> 128."""
-
-    data: np.ndarray  # uint8, shape (t, n)
-
-
-def raster(series: list) -> SpaceTimeRaster:
+def raster(series: list) -> np.ndarray:
+    """Time-major uint8 raster of rings or cell arrays, shape (t, n):
+    0 -> 255, 1 -> 0, ? -> 128."""
     rows = [np.asarray(r.cells if isinstance(r, RingState) else r, dtype=np.int8)
             for r in series]
     widths = {len(r) for r in rows}
@@ -286,22 +280,17 @@ def raster(series: list) -> SpaceTimeRaster:
     bad = grid.view(np.uint8) > Q   # a negative code reads as >= 128
     if bad.any():
         raise ValueError(f"cell code {grid[bad][0]} is not 0, 1 or ? ({Q})")
-    return SpaceTimeRaster(data=_BYTE_MAP[grid])
+    return _BYTE_MAP[grid]
 
 
-def write_pgm(ras: SpaceTimeRaster, path: str) -> None:
+def raster_to_pgm(ras: np.ndarray) -> bytes:
     """Binary PGM (P5), one byte per cell, row 0 = earliest time."""
-    t, n = ras.data.shape
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{n} {t}\n255\n".encode("ascii"))
-            fh.write(ras.data.tobytes())
-    except OSError as exc:
-        raise OSError(f"cannot write PGM to {path}: {exc}") from exc
+    t, n = ras.shape
+    return f"P5\n{n} {t}\n255\n".encode("ascii") + ras.tobytes()
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read back a raw 8-bit PGM written by write_pgm (test helper)."""
+    """Read back a raw 8-bit PGM as `raster_to_pgm` makes it (test helper)."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":

@@ -9,7 +9,6 @@ right-hand side (`_rhs`).  Two drivers run them: the scalar API (`derive`,
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -171,7 +170,6 @@ def derive(quad: ParamQuad) -> DerivedParams:
 class BoundaryChain:
     """3x3 transition matrix of the boundary-state chain, rows Zero/One/Star."""
 
-    side: Side
     rows: np.ndarray  # shape (3, 3), float
 
     def __post_init__(self):
@@ -188,7 +186,7 @@ def boundary_chain(d: DerivedParams, side: Side) -> BoundaryChain:
         [d.QQ[i][1], d.PP[i][1], d.RR[1]],
         list(d.star_row(side)),
     ])
-    return BoundaryChain(side=side, rows=rows)
+    return BoundaryChain(rows=rows)
 
 
 @dataclass(frozen=True)
@@ -371,8 +369,6 @@ class ConditionReport:
     lhs: float
     rhs: float
     holds: bool
-    w0: BState
-    w1: BState
     drift_bound: float  # math.inf when r = 0
 
     def to_dict(self) -> dict:
@@ -386,9 +382,6 @@ class ConditionReport:
                            else self.drift_bound,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _rhs(rr, gamma0, gamma1, lo):
     """Right-hand side of the condition 2 - r > rhs; `lo` as in `_derived`."""
@@ -398,13 +391,10 @@ def _rhs(rr, gamma0, gamma1, lo):
 
 def condition_check(d: DerivedParams) -> ConditionReport:
     """Evaluate the sufficient ergodicity condition 2 - r > rhs."""
-    w0 = favourable_state(d, Side.RIGHT)
-    w1 = favourable_state(d, Side.LEFT)
     if d.r == 0.0:
         # No division anywhere: all per-side remainders vanish too.
         return ConditionReport(gamma0=1.0, gamma1=1.0, lhs=2.0, rhs=0.0,
-                               holds=True, w0=w0, w1=w1,
-                               drift_bound=math.inf)
+                               holds=True, drift_bound=math.inf)
     gamma0 = gamma_table(d, Side.RIGHT)
     gamma1 = gamma_table(d, Side.LEFT)
     lhs = 2.0 - d.r
@@ -412,7 +402,7 @@ def condition_check(d: DerivedParams) -> ConditionReport:
     drift = (_increment_bound(d, Side.RIGHT, gamma0)
              - _increment_bound(d, Side.LEFT, gamma1))
     return ConditionReport(gamma0=gamma0, gamma1=gamma1, lhs=lhs, rhs=rhs,
-                           holds=lhs > rhs, w0=w0, w1=w1, drift_bound=drift)
+                           holds=lhs > rhs, drift_bound=drift)
 
 
 def bisect_crossover(code: str) -> float:

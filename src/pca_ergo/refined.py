@@ -8,6 +8,7 @@ ratio 2*eps.  All position arithmetic uses doubled integers, never floats.
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -140,18 +141,16 @@ def exact_refined_drift(eps: float) -> float:
     return two_class_mean(refined_law_s1(eps), refined_law_00(eps)) / 2.0
 
 
-def sweep_to_csv(eps_grid: list, path: str, steps: int = 10 ** 5,
-                 burn_in: int = 10 ** 3, seed: int = 0) -> None:
-    """CSV of closed forms vs simulation across an error grid."""
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["eps", "mean_s1", "mean_00", "drift_bound",
-                        "empirical_drift", "stderr"])
-            for i, eps in enumerate(eps_grid):
-                est = simulate_refined(eps, steps, burn_in, seed + i)
-                w.writerow([format(v, ".17g") for v in
-                            (eps, mean_s1(eps), mean_00(eps),
-                             refined_drift_bound(eps), est.mean, est.stderr)])
-    except OSError as exc:
-        raise OSError(f"cannot write refined sweep to {path}: {exc}") from exc
+def sweep_to_csv(eps_grid: list, steps: int, burn_in: int, seed: int) -> str:
+    """CSV text of closed forms vs simulation across an error grid; the
+    i-th error rate is simulated with seed + i."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["eps", "mean_s1", "mean_00", "drift_bound",
+                "empirical_drift", "stderr"])
+    for i, eps in enumerate(eps_grid):
+        est = simulate_refined(eps, steps, burn_in, seed + i)
+        w.writerow([format(v, ".17g") for v in
+                    (eps, mean_s1(eps), mean_00(eps),
+                     refined_drift_bound(eps), est.mean, est.stderr)])
+    return buf.getvalue()

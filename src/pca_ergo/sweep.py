@@ -198,12 +198,6 @@ class RenewalSummary:
     def median_attempts(self) -> float:
         return statistics.median(self.attempts)
 
-    def to_dict(self) -> dict:
-        return {"runs": self.runs, "threshold": self.threshold,
-                "median_attempts": self.median_attempts,
-                "attempts": self.attempts, "total_steps": self.total_steps,
-                "censored": self.censored, "seed": self.seed}
-
 
 def renewal_experiment(d, threshold: int, runs: int, seed: int,
                        attempt_cap: int = 200,

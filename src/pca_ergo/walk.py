@@ -9,6 +9,7 @@ values.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -176,20 +177,18 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     return Trajectory(*(np.concatenate(p) for p in zip(*pieces)))
 
 
-def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """Write a trajectory as CSV with columns t,i,j,x,y,alive."""
+def trajectory_to_csv(traj: Trajectory) -> str:
+    """A trajectory as CSV text with columns t,i,j,x,y,alive."""
     states = np.array([str(BState(code)) for code in range(3)])
     alive = np.where(traj.alive, "true", "false")
     rows = zip(range(len(traj.i)), traj.i.tolist(), traj.j.tolist(),
                states[traj.x].tolist(), states[traj.y].tolist(),
                alive.tolist())
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "i", "j", "x", "y", "alive"])
-            w.writerows(rows)
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory to {path}: {exc}") from exc
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t", "i", "j", "x", "y", "alive"])
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,12 @@ class TestSimulationCommands:
         assert code == EXIT_BAD_INPUT
         assert out == "" and "horizon" in err
 
+    def test_envelope_negative_max_steps_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "envelope", "--params",
+                             "0.8,0.3,0.5,0.6", "--max-steps", "-1")
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and "max_steps" in err
+
     def test_island_csv(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"
         code, _, _ = run(capsys, "island", "--params", "0.8,0.3,0.5,0.6",
@@ -265,6 +271,19 @@ class TestConfigAndErrors:
                          "--out", str(tmp_path / "missing" / "x.json"))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--ca", "0011", "--eps", "0.1", "--out"),
+        ("island", "--params", "0.8,0.3,0.5,0.6", "--out"),
+        ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "20", "--out"),
+        ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "20", "--pgm"),
+    ], ids=" ".join)
+    def test_every_writer_reports_an_unwritable_path(self, capsys, tmp_path,
+                                                    argv):
+        path = str(tmp_path / "missing" / "x")
+        code, out, err = run(capsys, *argv, path)
+        assert code == EXIT_IO
+        assert out == "" and f"cannot write {path}: " in err
+
     @pytest.mark.parametrize("content", ["[1, 2]", "3", '"check"', "null"])
     def test_config_must_be_an_object(self, capsys, tmp_path, content):
         cfg = tmp_path / "cfg.json"
@@ -302,6 +321,7 @@ MALFORMED = [
     ("island", "--params", "0.8,0.3,0.5,0.6", "--gap", "2"),
     ("island", "--params", "0,1,0,1"),
     ("island", "--params", "0.8,0.3,0.5,0.6", "--horizon", "-1"),
+    ("envelope", "--params", "0.8,0.3,0.5,0.6", "--max-steps", "-1"),
     ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "-4"),
     ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "0",
      "--max-steps", "5"),

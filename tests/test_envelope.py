@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from pca_ergo import ParamQuad, ca_with_error, derive
 from pca_ergo.envelope import (_BLOCK, Q, CoupledTriple, RingState, all_q_ring,
                                coupled_step, density_to_csv, envelope_step,
-                               pca_step, raster, read_pgm,
+                               pca_step, raster, raster_to_pgm, read_pgm,
                                run_to_decorrelation, run_with_raster,
-                               step_uniforms, write_pgm)
+                               step_uniforms)
 from pca_ergo.params import condition_holds_batch
 
 from conftest import quads, random_quads
@@ -437,15 +437,21 @@ class TestDecorrelation:
             assert hit is not None, (q, n, seed)
             assert density[-1] == (0, n)
 
-    def test_density_csv(self, tmp_path):
+    def test_density_csv(self):
         d = derive(FIG1)
         _, density = run_to_decorrelation(d, n=20, max_steps=50, seed=4)
-        path = tmp_path / "density.csv"
-        density_to_csv(density, str(path))
-        lines = path.read_text().strip().split("\n")
+        lines = density_to_csv(density).strip().split("\n")
         assert lines[0] == "step,q_density_num,q_density_den"
         assert lines[1] == "0,20,20"
         assert len(lines) == len(density) + 1
+
+    def test_rejects_negative_max_steps(self):
+        d = derive(FIG1)
+        for run in (run_to_decorrelation, run_with_raster):
+            with pytest.raises(ValueError, match="max_steps"):
+                run(d, n=8, max_steps=-1, seed=0)
+        assert run_to_decorrelation(d, n=8, max_steps=0, seed=0) == \
+            (None, [(8, 8)])
 
     def test_determinism(self):
         d = derive(FIG1)
@@ -457,10 +463,10 @@ class TestDecorrelation:
 class TestRaster:
     def test_byte_mapping(self):
         img = raster([RingState(np.array([Q, Q], dtype=np.int8))])
-        assert img.data.tolist() == [[128, 128]]
+        assert img.dtype == np.uint8 and img.tolist() == [[128, 128]]
         img = raster([RingState(np.array([0, 1], dtype=np.int8)),
                       RingState(np.array([Q, 0], dtype=np.int8))])
-        assert img.data.tolist() == [[255, 0], [128, 255]]
+        assert img.tolist() == [[255, 0], [128, 255]]
 
     @pytest.mark.parametrize("code", [-1, 3])
     def test_rejects_codes_outside_0_1_star(self, code):
@@ -484,16 +490,18 @@ class TestRaster:
         for t in range(1, len(density)):
             ring = envelope_step(ring, d, step_uniforms(seed, t, n))
             rows.append(ring)
-        assert np.array_equal(img.data, raster(rows).data)
-        assert [(int((r == 128).sum()), n) for r in img.data] == density
+        assert np.array_equal(img, raster(rows))
+        assert [(int((r == 128).sum()), n) for r in img] == density
 
     def test_pgm_round_trip(self, tmp_path):
         # a failing rule, so the ?-region outlives the 12 steps
         d = derive(ca_with_error("1000", 0.01))
         hit, _, img = run_with_raster(d, n=16, max_steps=12, seed=21)
         assert hit is None
-        assert img.data.shape == (13, 16)
+        assert img.shape == (13, 16)
+        pgm = raster_to_pgm(img)
+        assert pgm.startswith(b"P5\n16 13\n255\n")
+        assert pgm.endswith(img.tobytes())
         path = tmp_path / "out.pgm"
-        write_pgm(img, str(path))
-        assert path.read_bytes().startswith(b"P5\n16 13\n255\n")
-        assert np.array_equal(read_pgm(str(path)), img.data)
+        path.write_bytes(pgm)
+        assert np.array_equal(read_pgm(str(path)), img)

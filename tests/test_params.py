@@ -166,12 +166,12 @@ class TestGammaTable:
 class TestStationarySolve:
     def test_star_absorbing(self):
         rows = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        nu = stationary_solve(BoundaryChain(side=Side.RIGHT, rows=rows))
+        nu = stationary_solve(BoundaryChain(rows=rows))
         assert nu[BState.STAR] == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one_chain(self):
         rows = np.array([[0.2, 0.5, 0.3]] * 3)
-        nu = stationary_solve(BoundaryChain(side=Side.LEFT, rows=rows))
+        nu = stationary_solve(BoundaryChain(rows=rows))
         assert nu[BState.ZERO] == pytest.approx(0.2, abs=1e-12)
         assert nu[BState.ONE] == pytest.approx(0.5, abs=1e-12)
         assert nu[BState.STAR] == pytest.approx(0.3, abs=1e-12)

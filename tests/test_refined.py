@@ -107,10 +107,10 @@ class TestSimulation:
         for eps in (0.1, 0.3):
             assert exact_refined_drift(eps) >= mean_00(eps) - 1e-12
 
-    def test_sweep_csv(self, tmp_path):
-        path = tmp_path / "refined.csv"
-        sweep_to_csv([0.1, 0.2], str(path), steps=2000, burn_in=100, seed=0)
-        lines = path.read_text().strip().split("\n")
+    def test_sweep_csv(self):
+        text = sweep_to_csv([0.1, 0.2], steps=2000, burn_in=100, seed=0)
+        lines = text.splitlines()
+        assert text.count("\r\n") == len(lines)  # csv-module line ends
         assert lines[0] == \
             "eps,mean_s1,mean_00,drift_bound,empirical_drift,stderr"
         assert len(lines) == 3

@@ -112,7 +112,7 @@ def test_edge_lattice_matches_exact_oracle():
     [[1.0 - 1e-9, 0.0, 1e-9], [0.0, 1.0 - 1e-9, 1e-9], [1e-18, 1e-18, 1.0 - 2e-18]],
 ])
 def test_reducible_and_periodic_chains(rows):
-    chain = BoundaryChain(side=Side.RIGHT, rows=np.array(rows))
+    chain = BoundaryChain(rows=np.array(rows))
     law, _ = exact_limit_from_star(chain.rows)
     _assert_matches(chain, law)
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 
 import numpy as np
@@ -279,29 +280,28 @@ class TestIsland:
             list(zip(range(len(traj.i)), traj.i.tolist(), traj.j.tolist(),
                      traj.x.tolist(), traj.y.tolist()))
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         d = derive(FIG1)
         traj = simulate_island(d, n0=4, horizon=50, seed=1)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, str(path))
-        lines = path.read_text().strip().split("\n")
+        lines = trajectory_to_csv(traj).splitlines()
         assert lines[0] == "t,i,j,x,y,alive"
         assert len(lines) == len(traj.i) + 1
         first = lines[1].split(",")
         assert first[:3] == ["0", "0", "4"]
         assert first[3] in "01*" and first[4] in "01*"
 
-    def test_csv_matches_per_row_writer(self, tmp_path):
+    def test_csv_matches_per_row_writer(self):
         # reference: one row at a time, each state through its BState
-        def per_row(traj, path):
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "i", "j", "x", "y", "alive"])
-                for t in range(len(traj.i)):
-                    i, j = int(traj.i[t]), int(traj.j[t])
-                    w.writerow([t, i, j, str(BState(int(traj.x[t]))),
-                                str(BState(int(traj.y[t]))),
-                                "true" if j - i >= 3 else "false"])
+        def per_row(traj):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["t", "i", "j", "x", "y", "alive"])
+            for t in range(len(traj.i)):
+                i, j = int(traj.i[t]), int(traj.j[t])
+                w.writerow([t, i, j, str(BState(int(traj.x[t]))),
+                            str(BState(int(traj.y[t]))),
+                            "true" if j - i >= 3 else "false"])
+            return buf.getvalue()
 
         died = survived = reached = 0
         stars = set()
@@ -313,10 +313,7 @@ class TestIsland:
             d = derive(quad)
             for seed in range(4):
                 traj = simulate_island(d, n0, horizon, seed, until)
-                trajectory_to_csv(traj, str(tmp_path / "got.csv"))
-                per_row(traj, tmp_path / "want.csv")
-                assert (tmp_path / "got.csv").read_bytes() == \
-                    (tmp_path / "want.csv").read_bytes()
+                assert trajectory_to_csv(traj) == per_row(traj)
                 gap = int(traj.j[-1] - traj.i[-1])
                 died += gap < 3
                 reached += until is not None and gap >= until
