@@ -5,7 +5,9 @@ Writes a CSV with the per-class mean displacements, the drift lower bound
 and an empirical stationary drift estimate for each error rate.
 """
 import argparse
+import sys
 
+from pca_ergo.cli import CliError, _write
 from pca_ergo.refined import sweep_to_csv
 
 
@@ -21,8 +23,11 @@ def main():
 
     grid = [float(v) for v in args.grid.split(",")]
     text = sweep_to_csv(grid, args.steps, args.burn_in, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        _write(args.out, text.encode())
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.code)
     print(f"wrote {len(grid)} rows to {args.out}")
 
 

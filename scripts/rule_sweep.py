@@ -5,8 +5,10 @@ Writes one CSV row per (rule, error rate) and prints the crossover error
 rate for the four rules the condition misses near zero error.
 """
 import argparse
+import sys
 
 from pca_ergo import bisect_crossover
+from pca_ergo.cli import CliError, _write
 from pca_ergo.sweep import ALL_CODES, epsilon_sweep, sweep_rows_to_csv
 
 EXCLUDED = ["1000", "1110", "0110", "1001"]
@@ -21,8 +23,11 @@ def main():
 
     grid = [float(v) for v in args.grid.split(",")]
     rows = epsilon_sweep(ALL_CODES, grid)
-    with open(args.out, "w") as fh:
-        fh.write(sweep_rows_to_csv(rows))
+    try:
+        _write(args.out, sweep_rows_to_csv(rows).encode())
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.code)
     held = sum(r.holds for r in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({held} hold)")
     for code in EXCLUDED:

@@ -1,4 +1,5 @@
-"""One law type, one drift oracle and one sampler for the boundary chains.
+"""One law type, one drift oracle, one sampler and one Monte Carlo drift
+estimator for the boundary chains.
 
 Both boundary laws (`walk.increment_law` and `refined.refined_law_s1` /
 `refined_law_00`) are `AtomLaw`s: a finite list of moves ``(base, slope,
@@ -19,7 +20,8 @@ class after a step is one comparison of x with a threshold; the class path
 of a pass then follows from a scan over the resulting maps {0,1} -> {0,1}
 (`_class_path`), and one search over both classes' tables, started from a
 guide table (Chen and Asau's method for inversion by table lookup), finds
-the moves.
+the moves.  `estimate_drift` takes the mean of one sampled chain and its
+batch-means standard error.
 """
 from __future__ import annotations
 
@@ -240,3 +242,39 @@ class AtomChain:
             if skip < n:
                 out[lo + skip - burn_in:lo + n - burn_in] = delta[skip:]
         return out
+
+
+@dataclass(frozen=True)
+class DriftEstimate:
+    mean: float
+    stderr: float
+    steps: int
+    seed: int
+
+
+def batch_means_stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of an autocorrelated series, from the
+    means of 100 equal batches."""
+    n_batches = 100
+    n = len(values) // n_batches
+    if n < 1:
+        raise ValueError("too few samples for batch means")
+    # np.std(ddof=1)'s arithmetic (pairwise sums, the same divisions) in
+    # fewer calls
+    batches = np.add.reduce(values[: n * n_batches].reshape(n_batches, n),
+                            axis=1) / n
+    dev = batches - np.add.reduce(batches) / n_batches
+    var = np.add.reduce(dev * dev) / (n_batches - 1)
+    return float(np.sqrt(var) / math.sqrt(n_batches))
+
+
+def estimate_drift(law0: AtomLaw, law1: AtomLaw, c0: int, steps: int,
+                   burn_in: int, seed: int) -> DriftEstimate:
+    """Monte Carlo stationary mean step of the `AtomChain` of law0 and law1:
+    the mean of `steps` displacements of one chain started in class c0,
+    after `burn_in` steps."""
+    delta = AtomChain(law0, law1).sample(np.random.default_rng(seed), c0,
+                                         steps, burn_in).astype(float)
+    return DriftEstimate(mean=float(delta.mean()),
+                         stderr=batch_means_stderr(delta),
+                         steps=steps, seed=seed)

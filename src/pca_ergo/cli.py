@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import envelope as env
@@ -154,8 +153,8 @@ def cmd_envelope(args) -> int:
     d = derive(_parse_quad(args))
     size = dict(n=args.cells, max_steps=args.max_steps, seed=args.seed)
     if args.pgm:
-        hit, density, ras = env.run_with_raster(d, **size)
-        _write(args.pgm, env.raster_to_pgm(ras))
+        hit, density, rows = env.run_with_raster(d, **size)
+        _write(args.pgm, env.raster_to_pgm(rows))
     else:
         hit, density = env.run_to_decorrelation(d, **size)
     if args.out:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams, ParamQuad
+from .params import DerivedParams, ParamQuad, derive
 
 Q = 2  # cell code for ?; 0 and 1 are themselves
 
@@ -33,7 +33,6 @@ class RingState:
     """Periodic configuration; cells is an int8 array with values 0/1/2(=?)."""
 
     cells: np.ndarray
-    time: int = 0
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.int8)
@@ -107,16 +106,8 @@ def _envelope_table(d: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(one), _frozen(np.maximum(zero, one))
 
 
-@functools.lru_cache(maxsize=256)
-def _pca_table(quad: ParamQuad) -> np.ndarray:
-    """Flat p(left, right) indexed by 3 * left + right (? entries unused)."""
-    p = np.zeros(9)
-    p[_KNOWN] = quad.as_tuple()
-    return _frozen(p)
-
-
 def _frozen(table: np.ndarray) -> np.ndarray:
-    """Read-only, since the caches hand the same table to every caller."""
+    """Read-only, since the cache hands the same table to every caller."""
     table.flags.writeable = False
     return table
 
@@ -170,11 +161,13 @@ def _check_step(cells: np.ndarray, top, uniforms, what: str) -> None:
 
 
 def pca_step(ring: RingState, quad: ParamQuad, uniforms: np.ndarray) -> RingState:
-    """One synchronous update of a binary ring: cell i looks at (i, i+1)."""
+    """One synchronous update of a binary ring: cell i looks at (i, i+1).
+
+    The envelope table steps it: at two known parents both thresholds are
+    p(a, b)."""
     _check_step(ring.cells, 1, uniforms, "pca_step takes a binary ring")
-    p = _pca_table(quad)
-    return RingState(cells=_step_cells(ring.cells, p, p, uniforms),
-                     time=ring.time + 1)
+    one, zero = _envelope_table(derive(quad))
+    return RingState(cells=_step_cells(ring.cells, one, zero, uniforms))
 
 
 def envelope_step(ring: RingState, d: DerivedParams,
@@ -182,8 +175,7 @@ def envelope_step(ring: RingState, d: DerivedParams,
     """One update of the envelope ring via the threshold coupling."""
     _check_step(ring.cells, Q, uniforms, "envelope cells must be 0, 1 or ?")
     one, zero = _envelope_table(d)
-    return RingState(cells=_step_cells(ring.cells, one, zero, uniforms),
-                     time=ring.time + 1)
+    return RingState(cells=_step_cells(ring.cells, one, zero, uniforms))
 
 
 @dataclass
@@ -215,8 +207,7 @@ def coupled_step(triple: CoupledTriple, d: DerivedParams,
     _check_step(cells, _COUPLED_TOP, uniforms,
                 "coupled rings take cells 0, 1 or ? and binary copies")
     new = _step_cells(cells, *_envelope_table(d), uniforms)
-    out = CoupledTriple(*(RingState(cells=row, time=r.time + 1)
-                          for row, r in zip(new, rings)))
+    out = CoupledTriple(*(RingState(cells=row) for row in new))
     out.check_dominance()
     return out
 
@@ -227,9 +218,9 @@ def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
 
     Returns (hit_time or None, density) where density is the per-step
     ?-density as exact (numerator, denominator) pairs.  `_rows`, when
-    given, receives each step's cells (see `run_with_raster`).  The seed
-    is checked even when no step is drawn; max_steps must be >= 0, and 0
-    gives the start ring alone.
+    given, receives each step's row as PGM bytes (see `run_with_raster`).
+    The seed is checked even when no step is drawn; max_steps must be
+    >= 0, and 0 gives the start ring alone.
     """
     _checked_int("seed", seed, 128)
     if max_steps < 0:
@@ -239,11 +230,11 @@ def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
     cells = ring.cells
     one, zero = _envelope_table(d)
     if _rows is not None:
-        _rows.append(cells)
+        _rows.append(_BYTE_MAP[cells])
     for t in range(1, max_steps + 1):
         cells = _step_cells(cells, one, zero, step_uniforms(seed, t, n))
         if _rows is not None:
-            _rows.append(cells)
+            _rows.append(_BYTE_MAP[cells])
         k = int(np.count_nonzero(cells == Q))
         density.append((k, n))
         if k == 0:
@@ -254,12 +245,13 @@ def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
 def run_with_raster(d: DerivedParams, n: int, max_steps: int, seed: int):
     """`run_to_decorrelation` that also keeps the space-time raster.
 
-    One pass: returns (hit_time or None, density, raster) with one raster
-    row per density entry.
+    One pass: returns (hit_time or None, density, rows), one uint8 row per
+    density entry with cell 0 -> 255, 1 -> 0 and ? -> 128.  The kernel
+    emits only those three codes, so the rows need no check.
     """
     rows: list = []
     hit, density = run_to_decorrelation(d, n, max_steps, seed, _rows=rows)
-    return hit, density, raster(rows)
+    return hit, density, rows
 
 
 def density_to_csv(density: list) -> str:
@@ -268,25 +260,11 @@ def density_to_csv(density: list) -> str:
         f"{step},{num},{den}\n" for step, (num, den) in enumerate(density))
 
 
-def raster(series: list) -> np.ndarray:
-    """Time-major uint8 raster of rings or cell arrays, shape (t, n):
-    0 -> 255, 1 -> 0, ? -> 128."""
-    rows = [np.asarray(r.cells if isinstance(r, RingState) else r, dtype=np.int8)
-            for r in series]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("space-time series must be rectangular")
-    grid = np.stack(rows)
-    bad = grid.view(np.uint8) > Q   # a negative code reads as >= 128
-    if bad.any():
-        raise ValueError(f"cell code {grid[bad][0]} is not 0, 1 or ? ({Q})")
-    return _BYTE_MAP[grid]
-
-
-def raster_to_pgm(ras: np.ndarray) -> bytes:
-    """Binary PGM (P5), one byte per cell, row 0 = earliest time."""
-    t, n = ras.shape
-    return f"P5\n{n} {t}\n255\n".encode("ascii") + ras.tobytes()
+def raster_to_pgm(rows: list) -> bytes:
+    """Binary PGM (P5) of equal-width uint8 rows, row 0 = earliest time;
+    one join, so the bytes are copied once."""
+    header = f"P5\n{len(rows[0])} {len(rows)}\n255\n".encode("ascii")
+    return b"".join([header, *rows])
 
 
 def read_pgm(path: str) -> np.ndarray:

@@ -189,16 +189,6 @@ def boundary_chain(d: DerivedParams, side: Side) -> BoundaryChain:
     return BoundaryChain(rows=rows)
 
 
-@dataclass(frozen=True)
-class StationaryDist:
-    """Stationary (or Star-started limiting) distribution of a boundary chain."""
-
-    mass: dict  # BState -> float
-
-    def __getitem__(self, s: BState) -> float:
-        return self.mass[s]
-
-
 def tree_weights(rows) -> tuple[float, float, float]:
     """Markov-chain tree theorem weights of a 3-state chain.
 
@@ -221,8 +211,9 @@ def tree_weights(rows) -> tuple[float, float, float]:
 
 def stationary_solve(chain: BoundaryChain,
                      tol: float = 1e-13,
-                     max_iter: int = 10 ** 6) -> StationaryDist:
-    """Stationary law of the boundary chain, or its limit from Star.
+                     max_iter: int = 10 ** 6) -> dict:
+    """Stationary law of the boundary chain, or its limit from Star, as
+    {BState: mass}.
 
     Closed form, no iteration: nu = w / sum(w) with the tree weights w of
     `tree_weights`.  With one closed class this is the unique stationary
@@ -250,9 +241,8 @@ def stationary_solve(chain: BoundaryChain,
         else:
             w0, w1, w2 = m20, m21, 0.0
     total = w0 + w1 + w2
-    return StationaryDist(mass={BState.ZERO: w0 / total,
-                                BState.ONE: w1 / total,
-                                BState.STAR: w2 / total})
+    return {BState.ZERO: w0 / total, BState.ONE: w1 / total,
+            BState.STAR: w2 / total}
 
 
 def favourable_state(d: DerivedParams, side: Side) -> BState:

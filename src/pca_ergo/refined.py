@@ -10,11 +10,8 @@ from __future__ import annotations
 import csv
 import io
 
-import numpy as np
-
-from .chain import AtomChain, AtomLaw, two_class_mean
+from .chain import AtomLaw, DriftEstimate, estimate_drift, two_class_mean
 from .params import TOL_IDENTITY
-from .walk import DriftEstimate, batch_means_stderr
 
 # Pair states as 2-char strings, outermost cell first on the right boundary.
 S1 = ("01", "11", "*1", "10")
@@ -120,15 +117,13 @@ def simulate_refined(eps: float, steps: int, burn_in: int,
 
     The mean of `steps` increments of one chain started in (0,0), the
     worst-mean state, after `burn_in` steps.  Increments are accumulated as
-    doubled integers and halved only for reporting.
+    doubled integers and halved only for reporting; halving is exact, so
+    the halved mean and stderr are those of the halved increments.
     """
     _check_eps(eps)
-    chain = AtomChain(refined_law_s1(eps), refined_law_00(eps))
-    doubled = chain.sample(np.random.default_rng(seed), _CLASS[STATE_00],
-                           steps, burn_in)
-    incr = doubled / 2.0
-    return DriftEstimate(mean=float(incr.mean()),
-                         stderr=batch_means_stderr(incr),
+    est = estimate_drift(refined_law_s1(eps), refined_law_00(eps),
+                         _CLASS[STATE_00], steps, burn_in, seed)
+    return DriftEstimate(mean=est.mean / 2.0, stderr=est.stderr / 2.0,
                          steps=steps, seed=seed)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (ConditionReport, DegenerateDenominatorError, ParamQuad,
+from .params import (ConditionReport, DegenerateDenominatorError,
                      ca_with_error, condition_check, condition_holds_batch,
                      derive)
 from .walk import simulate_island

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (BLOCK, GROUP, AtomChain, AtomLaw, two_class_mean,
-                    uniforms)
+from .chain import (BLOCK, GROUP, AtomChain, AtomLaw, DriftEstimate,
+                    estimate_drift, two_class_mean, uniforms)
 from .params import BState, DerivedParams, Side, TOL_IDENTITY
 
 
@@ -191,40 +190,12 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class DriftEstimate:
-    mean: float
-    stderr: float
-    steps: int
-    seed: int
-
-
-def batch_means_stderr(values: np.ndarray) -> float:
-    """Standard error of the mean of an autocorrelated series, from the
-    means of 100 equal batches."""
-    n_batches = 100
-    n = len(values) // n_batches
-    if n < 1:
-        raise ValueError("too few samples for batch means")
-    # np.std(ddof=1)'s arithmetic (pairwise sums, the same divisions) in
-    # fewer calls
-    batches = np.add.reduce(values[: n * n_batches].reshape(n_batches, n),
-                            axis=1) / n
-    dev = batches - np.add.reduce(batches) / n_batches
-    var = np.add.reduce(dev * dev) / (n_batches - 1)
-    return float(np.sqrt(var) / math.sqrt(n_batches))
-
-
 def empirical_drift(d: DerivedParams, side: Side, steps: int, burn_in: int,
                     seed: int) -> DriftEstimate:
     """Monte Carlo estimate of the stationary boundary drift: the mean of
     `steps` increments of one chain started in 0, after `burn_in` steps."""
-    chain = AtomChain(*_class_laws(d, side))
-    increments = chain.sample(np.random.default_rng(seed), BState.ZERO.value,
-                              steps, burn_in).astype(float)
-    return DriftEstimate(mean=float(increments.mean()),
-                         stderr=batch_means_stderr(increments),
-                         steps=steps, seed=seed)
+    return estimate_drift(*_class_laws(d, side), BState.ZERO.value, steps,
+                          burn_in, seed)
 
 
 def exact_simulated_drift(d: DerivedParams, side: Side) -> float:

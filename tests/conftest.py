@@ -69,8 +69,7 @@ def law_probs(law, max_k):
 
 
 @pytest.fixture(scope="session")
-def artifacts_dir(tmp_path_factory):
+def artifacts_dir():
+    """The committed artifacts directory; tests only read it."""
     import pathlib
-    d = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
-    d.mkdir(exist_ok=True)
-    return d
+    return pathlib.Path(__file__).resolve().parent.parent / "artifacts"

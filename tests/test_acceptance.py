@@ -147,10 +147,11 @@ def test_criterion_4_excluded_rules_and_crossovers(artifacts_dir):
         above = condition_check(derive(ca_with_error(code, eps_star + 1e-6)))
         if below.holds or not above.holds:
             failures.append(("not a crossover", code, eps_star))
-    path = artifacts_dir / "ca_crossover.json"
-    path.write_text(json.dumps(crossovers, indent=2) + "\n")
-    if not path.exists():
-        failures.append("artifact missing")
+    # the committed artifact is the benchmark's crossover reference: check
+    # it, never rewrite it (JSON floats round-trip exactly)
+    committed = json.loads((artifacts_dir / "ca_crossover.json").read_text())
+    if committed != crossovers:
+        failures.append(("artifact differs", committed, crossovers))
     _finish(4, "condition misses four rules at eps=0.01; crossover artifact",
             failures, time.perf_counter() - t0, 1.0)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -370,3 +374,63 @@ def test_near_absorbing_chain_answers(capsys):
     code, out, _ = run(capsys, "chain", "--params", "0,0,0,0.999999999")
     assert code == EXIT_OK
     assert json.loads(out)["stationary"] == {"0": 1.0, "1": 0.0, "*": 0.0}
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(*argv):
+    """Run `python argv` in a fresh process with this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("rule_sweep.py", ["--grid", "0.1"]),
+    ("refined_drift.py", ["--grid", "0.1", "--steps", "1000",
+                          "--burn-in", "10"]),
+])
+def test_scripts_report_an_unwritable_out(tmp_path, script, argv):
+    path = tmp_path / "missing" / "x.csv"
+    res = run_python(str(ROOT / "scripts" / script), *argv, "--out", str(path))
+    assert res.returncode == EXIT_IO
+    assert res.stderr.startswith(f"error: cannot write {path}: ")
+    assert res.stderr.count("\n") == 1
+    res = run_python(str(ROOT / "scripts" / script), *argv,
+                     "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == EXIT_OK and (tmp_path / "x.csv").is_file()
+
+
+# Linux keeps a parent's peak RSS in a spawned child's ru_maxrss, so the
+# child reads the peak of its own address space, VmHWM, instead.
+PEAK_RSS = """\
+import re, sys
+from pca_ergo.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from Linux's /proc")
+def test_pgm_run_holds_about_two_rasters(tmp_path):
+    # a failing rule: the ? cells outlive the 10^4 steps, so the raster has
+    # 10001 rows of 2000 bytes; --pgm may add at most 2.5 of those on top
+    # of the same run without it (the byte rows plus the file's one join)
+    argv = ["envelope", "--ca", "0110", "--eps", "0.001", "--cells", "2000",
+            "--max-steps", "10000"]
+    pgm = tmp_path / "ring.pgm"
+    peaks = []
+    for extra in ([], ["--pgm", str(pgm)]):
+        res = run_python("-c", PEAK_RSS, *argv, *extra)
+        assert res.returncode == EXIT_OK
+        assert json.loads(res.stdout)["hit_time"] is None
+        peaks.append(int(res.stderr) * 1024)
+    raster = 10001 * 2000
+    assert pgm.stat().st_size == len(b"P5\n2000 10001\n255\n") + raster
+    assert peaks[1] - peaks[0] <= 2.5 * raster, \
+        f"--pgm added {(peaks[1] - peaks[0]) / raster:.2f} rasters"

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from pca_ergo import ParamQuad, ca_with_error, derive
 from pca_ergo.envelope import (_BLOCK, Q, CoupledTriple, RingState, all_q_ring,
                                coupled_step, density_to_csv, envelope_step,
-                               pca_step, raster, raster_to_pgm, read_pgm,
+                               pca_step, raster_to_pgm, read_pgm,
                                run_to_decorrelation, run_with_raster,
                                step_uniforms)
 from pca_ergo.params import condition_holds_batch
 
-from conftest import quads, random_quads
+from conftest import quads
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 
@@ -177,8 +177,8 @@ class TestKernelAgainstOracles:
             d = derive(quad)
             cells = rng.integers(0, 3, 40).astype(np.int8)
             u = rng.random(40)
-            got = envelope_step(RingState(cells, time=k), d, u)
-            assert got.time == k + 1 and got.cells.dtype == np.int8
+            got = envelope_step(RingState(cells), d, u)
+            assert got.cells.dtype == np.int8
             assert np.array_equal(got.cells, oracle_envelope_cells(cells, d, u))
             binary = rng.integers(0, 2, 40).astype(np.int8)
             got = pca_step(RingState(binary), quad, u)
@@ -357,15 +357,14 @@ class TestCoupling:
             a = rng.integers(0, 2, 30).astype(np.int8)
             b = np.where(rng.random(30) < 0.5, a, 1 - a).astype(np.int8)
             env = np.where(a == b, a, np.int8(Q)).astype(np.int8)
-            triple = CoupledTriple(RingState(env, 4), RingState(a, 4),
-                                   RingState(b, 4))
+            triple = CoupledTriple(RingState(env), RingState(a),
+                                   RingState(b))
             u = rng.random(30)
             out = coupled_step(triple, d, u)
             assert np.array_equal(out.envelope.cells,
                                   envelope_step(triple.envelope, d, u).cells)
             assert np.array_equal(out.copy_a.cells, pca_step(triple.copy_a, quad, u).cells)
             assert np.array_equal(out.copy_b.cells, pca_step(triple.copy_b, quad, u).cells)
-            assert (out.envelope.time, out.copy_a.time, out.copy_b.time) == (5, 5, 5)
 
     def test_one_dominance_check_per_step(self, monkeypatch):
         calls = []
@@ -460,46 +459,52 @@ class TestDecorrelation:
         assert a == b
 
 
+def byte_rows(rings):
+    """PGM rows of rings, mapped cell by cell: 0 -> 255, 1 -> 0, ? -> 128."""
+    byte = {0: 255, 1: 0, Q: 128}
+    return [np.array([byte[c] for c in r.cells], dtype=np.uint8)
+            for r in rings]
+
+
+def envelope_rings(d, n, steps, seed):
+    """The all-? ring and `steps` envelope steps from it."""
+    rings = [all_q_ring(n)]
+    for t in range(1, steps + 1):
+        rings.append(envelope_step(rings[-1], d, step_uniforms(seed, t, n)))
+    return rings
+
+
 class TestRaster:
     def test_byte_mapping(self):
-        img = raster([RingState(np.array([Q, Q], dtype=np.int8))])
-        assert img.dtype == np.uint8 and img.tolist() == [[128, 128]]
-        img = raster([RingState(np.array([0, 1], dtype=np.int8)),
-                      RingState(np.array([Q, 0], dtype=np.int8))])
-        assert img.tolist() == [[255, 0], [128, 255]]
-
-    @pytest.mark.parametrize("code", [-1, 3])
-    def test_rejects_codes_outside_0_1_star(self, code):
-        with pytest.raises(ValueError, match=f"cell code {code} "):
-            raster([np.array([0, 1], dtype=np.int8),
-                    np.array([code, 0], dtype=np.int8)])
-
-    def test_rejects_ragged_series(self):
-        with pytest.raises(ValueError):
-            raster([np.array([0, 1], dtype=np.int8),
-                    np.array([0, 1, 0], dtype=np.int8)])
+        # a failing rule at 6 cells shows 0, 1 and ? cells within 8 steps
+        d = derive(ca_with_error("0110", 0.05))
+        hit, _, rows = run_with_raster(d, n=6, max_steps=8, seed=0)
+        want = byte_rows(envelope_rings(d, 6, 8, 0))
+        assert hit is None and len(rows) == 9
+        assert all(r.dtype == np.uint8 for r in rows)
+        assert {0, 128, 255} <= set(np.concatenate(rows).tolist())
+        assert all(np.array_equal(r, w) for r, w in zip(rows, want))
 
     @pytest.mark.parametrize("quad, n, max_steps, seed", [
         (FIG1, 30, 10 ** 4, 3), (ca_with_error("1000", 0.01), 20, 60, 2),
         (FIG1, 12, 0, 1)])
     def test_raster_is_the_decorrelation_run(self, quad, n, max_steps, seed):
         d = derive(quad)
-        hit, density, img = run_with_raster(d, n, max_steps, seed)
+        hit, density, rows = run_with_raster(d, n, max_steps, seed)
         assert (hit, density) == run_to_decorrelation(d, n, max_steps, seed)
-        ring, rows = all_q_ring(n), [all_q_ring(n)]
-        for t in range(1, len(density)):
-            ring = envelope_step(ring, d, step_uniforms(seed, t, n))
-            rows.append(ring)
-        assert np.array_equal(img, raster(rows))
-        assert [(int((r == 128).sum()), n) for r in img] == density
+        want = byte_rows(envelope_rings(d, n, len(density) - 1, seed))
+        assert len(rows) == len(want)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, want))
+        assert [(int((r == 128).sum()), n) for r in rows] == density
 
     def test_pgm_round_trip(self, tmp_path):
         # a failing rule, so the ?-region outlives the 12 steps
         d = derive(ca_with_error("1000", 0.01))
-        hit, _, img = run_with_raster(d, n=16, max_steps=12, seed=21)
+        hit, _, rows = run_with_raster(d, n=16, max_steps=12, seed=21)
         assert hit is None
+        img = np.stack(rows)
         assert img.shape == (13, 16)
-        pgm = raster_to_pgm(img)
+        pgm = raster_to_pgm(rows)
         assert pgm.startswith(b"P5\n16 13\n255\n")
         assert pgm.endswith(img.tobytes())
         path = tmp_path / "out.pgm"

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pca_ergo import (BState, DegenerateDenominatorError, ParamQuad, Side,
                       asymptotic_increment_bound, boundary_chain,
                       ca_with_error, condition_check, derive, flip_conjugate,
                       gamma_table, mean_increment, stationary_solve)
-from pca_ergo.params import (BoundaryChain, StationaryDist, _CHUNK_ROWS,
+from pca_ergo.params import (BoundaryChain, _CHUNK_ROWS,
                              _holds_chunk, condition_holds_batch,
                              favourable_state)
 
@@ -188,7 +187,7 @@ class TestStationarySolve:
             v = nxt
         for s, idx in ((BState.ZERO, 0), (BState.ONE, 1), (BState.STAR, 2)):
             assert nu[s] == pytest.approx(v[idx], abs=1e-10)
-        assert abs(sum(nu.mass.values()) - 1.0) <= 1e-12
+        assert abs(sum(nu.values()) - 1.0) <= 1e-12
 
 
 class TestMeanIncrement:

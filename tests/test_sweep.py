@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from pca_ergo import ParamQuad, ca_with_error, derive, walk

@@ -4,19 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
 
 from pca_ergo import (BState, ParamQuad, Side, asymptotic_increment_bound,
                       boundary_chain, ca_with_error, derive, mean_increment)
-from pca_ergo.chain import BLOCK, AtomChain, AtomLaw
+from pca_ergo.chain import BLOCK, AtomChain, AtomLaw, batch_means_stderr
 from pca_ergo.params import tree_weights
-from pca_ergo.walk import (DriftEstimate, batch_means_stderr,
-                           creation_states, empirical_drift,
+from pca_ergo.walk import (creation_states, empirical_drift,
                            exact_simulated_drift, increment_law,
                            simulate_island, trajectory_to_csv)
 
-from conftest import (law_probs, positive_quads, random_quads,
-                      sample_increment, truncated_expectation)
+from conftest import (law_probs, random_quads, sample_increment,
+                      truncated_expectation)
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 EDGE_LATTICE = np.array(list(itertools.product(np.linspace(0.0, 1.0, 7),
