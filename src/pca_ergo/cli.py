@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import envelope as env
 from . import refined, sweep, walk
 from .params import (BState, DegenerateDenominatorError, ParamQuad, Side,
-                     asymptotic_increment_bound, boundary_chain, ca_with_error,
-                     condition_check, derive, gamma_table, stationary_solve)
+                     asymptotic_increment_bound, bisect_crossover,
+                     boundary_chain, ca_with_error, condition_check, derive,
+                     gamma_table, stationary_solve)
 
 DEFAULT_SEED = 20230901
 
@@ -51,11 +53,12 @@ def _parse_quad(args) -> ParamQuad:
         raise CliError(str(exc)) from exc
 
 
-def _write(path: str, data: bytes) -> None:
-    """The one file writer: data to path, an OSError as exit 4."""
+def _write(path: str, *chunks: bytes) -> None:
+    """The one file writer: bytes-like chunks, in order, to path; an
+    OSError as exit 4."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
@@ -154,11 +157,16 @@ def cmd_envelope(args) -> int:
     size = dict(n=args.cells, max_steps=args.max_steps, seed=args.seed)
     if args.pgm:
         hit, density, rows = env.run_with_raster(d, **size)
-        _write(args.pgm, env.raster_to_pgm(rows))
+        _write(args.pgm, *env.raster_to_pgm(rows))
     else:
         hit, density = env.run_to_decorrelation(d, **size)
     if args.out:
-        _write(args.out, env.density_to_csv(density).encode())
+        try:
+            _write(args.out, env.density_to_csv(density).encode())
+        except CliError:
+            if args.pgm:  # a failed run leaves none of its outputs
+                os.remove(args.pgm)
+            raise
     print(json.dumps({"hit_time": hit, "cells": args.cells,
                       "seed": args.seed}))
     return EXIT_OK
@@ -193,6 +201,12 @@ def cmd_sweep(args) -> int:
     text = (sweep.sweep_rows_to_json(rows) if args.format == "json"
             else sweep.sweep_rows_to_csv(rows))
     _emit(args, text)
+    return EXIT_OK
+
+
+def cmd_crossover(args) -> int:
+    crossovers = {code: bisect_crossover(code) for code in sweep.MISSED_CODES}
+    _emit(args, json.dumps(crossovers, indent=2))
     return EXIT_OK
 
 
@@ -264,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--codes", help="comma-separated codes (default: all 16)")
     sp.add_argument("--grid", default="0.01,0.05,0.1,0.2,0.3,0.4,0.5")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
+
+    add("crossover", cmd_crossover,
+        "error rates where the condition starts to hold for missed rules")
 
     sp = add("volume", cmd_volume, "Monte Carlo volume of the condition region")
     sp.add_argument("--samples", type=int, default=10 ** 6)

@@ -260,11 +260,11 @@ def density_to_csv(density: list) -> str:
         f"{step},{num},{den}\n" for step, (num, den) in enumerate(density))
 
 
-def raster_to_pgm(rows: list) -> bytes:
-    """Binary PGM (P5) of equal-width uint8 rows, row 0 = earliest time;
-    one join, so the bytes are copied once."""
+def raster_to_pgm(rows: list) -> list:
+    """Binary PGM (P5) of equal-width uint8 rows, row 0 = earliest time, as
+    the chunks [header, *rows]: written in turn, the rows are not copied."""
     header = f"P5\n{len(rows[0])} {len(rows)}\n255\n".encode("ascii")
-    return b"".join([header, *rows])
+    return [header, *rows]
 
 
 def read_pgm(path: str) -> np.ndarray:

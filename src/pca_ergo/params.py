@@ -336,11 +336,7 @@ def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
     """
     if d.r <= 0.0:
         raise ZeroDivisionError("asymptotic bound undefined when r = 0")
-    return _increment_bound(d, side, gamma_table(d, side))
-
-
-def _increment_bound(d: DerivedParams, side: Side, gamma: float) -> float:
-    """asymptotic_increment_bound given the side's gamma (and r > 0)."""
+    gamma = gamma_table(d, side)
     i = side.sup
     lo = min(d.rr[i][0], d.rr[i][1])
     gap = abs(d.rr[i][0] - d.rr[i][1])
@@ -389,10 +385,10 @@ def condition_check(d: DerivedParams) -> ConditionReport:
     gamma1 = gamma_table(d, Side.LEFT)
     lhs = 2.0 - d.r
     rhs = _rhs(d.rr, gamma0, gamma1, min)
-    drift = (_increment_bound(d, Side.RIGHT, gamma0)
-             - _increment_bound(d, Side.LEFT, gamma1))
+    # The right bound minus the left one is (lhs - rhs) / r algebraically;
+    # taking it from the margin keeps its sign that of `holds`.
     return ConditionReport(gamma0=gamma0, gamma1=gamma1, lhs=lhs, rhs=rhs,
-                           holds=lhs > rhs, drift_bound=drift)
+                           holds=lhs > rhs, drift_bound=(lhs - rhs) / d.r)
 
 
 def bisect_crossover(code: str) -> float:

@@ -17,6 +17,9 @@ from .params import (ConditionReport, DegenerateDenominatorError,
 from .walk import simulate_island
 
 ALL_CODES = [f"{i:04b}" for i in range(16)]
+# The four rules the condition misses near zero error, in the order
+# `pca-ergo crossover` reports their crossover error rates.
+MISSED_CODES = ["1000", "1110", "0110", "1001"]
 
 
 def _fmt(x: float) -> str:
@@ -27,22 +30,17 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (rule code, error rate) cell: its condition report, or the name
+    of the degenerate gamma cell that left it without one."""
+
     code: str
     eps: float
-    gamma0: float
-    gamma1: float
-    lhs: float
-    rhs: float
-    holds: bool
-    drift_bound: float
+    report: ConditionReport | None
     error: str | None = None
 
-    @classmethod
-    def from_report(cls, code: str, eps: float,
-                    rep: ConditionReport) -> "SweepRow":
-        return cls(code=code, eps=eps, gamma0=rep.gamma0, gamma1=rep.gamma1,
-                   lhs=rep.lhs, rhs=rep.rhs, holds=rep.holds,
-                   drift_bound=rep.drift_bound)
+    @property
+    def holds(self) -> bool:
+        return self.report is not None and self.report.holds
 
 
 def epsilon_sweep(codes: list, grid: list) -> list:
@@ -50,16 +48,12 @@ def epsilon_sweep(codes: list, grid: list) -> list:
     rows = []
     for code in codes:
         for eps in grid:
-            d = derive(ca_with_error(code, eps))
             try:
-                rep = condition_check(d)
+                rep = condition_check(derive(ca_with_error(code, eps)))
             except DegenerateDenominatorError as exc:
-                rows.append(SweepRow(code=str(code), eps=eps,
-                                     gamma0=math.nan, gamma1=math.nan,
-                                     lhs=2.0 - d.r, rhs=math.nan, holds=False,
-                                     drift_bound=math.nan, error=exc.cell))
+                rows.append(SweepRow(str(code), eps, None, exc.cell))
                 continue
-            rows.append(SweepRow.from_report(str(code), eps, rep))
+            rows.append(SweepRow(str(code), eps, rep))
     return rows
 
 
@@ -76,9 +70,11 @@ def sweep_rows_to_csv(rows: list) -> str:
             w.writerow([r.code, _fmt(r.eps), f"error:{r.error}", "", "", "",
                         "false", ""])
         else:
-            w.writerow([r.code, _fmt(r.eps), _fmt(r.gamma0), _fmt(r.gamma1),
-                        _fmt(r.lhs), _fmt(r.rhs),
-                        "true" if r.holds else "false", _fmt(r.drift_bound)])
+            rep = r.report
+            w.writerow([r.code, _fmt(r.eps), _fmt(rep.gamma0),
+                        _fmt(rep.gamma1), _fmt(rep.lhs), _fmt(rep.rhs),
+                        "true" if rep.holds else "false",
+                        _fmt(rep.drift_bound)])
     return buf.getvalue()
 
 
@@ -93,15 +89,11 @@ def sweep_rows_from_csv(text: str) -> list:
             continue  # blank line, e.g. the newline the CLI prints last
         code, eps = rec[0], float(rec[1])
         if rec[2].startswith("error:"):
-            rows.append(SweepRow(code=code, eps=eps, gamma0=math.nan,
-                                 gamma1=math.nan, lhs=math.nan, rhs=math.nan,
-                                 holds=False, drift_bound=math.nan,
-                                 error=rec[2][len("error:"):]))
+            rows.append(SweepRow(code, eps, None, rec[2][len("error:"):]))
         else:
-            rows.append(SweepRow(
-                code=code, eps=eps, gamma0=float(rec[2]), gamma1=float(rec[3]),
-                lhs=float(rec[4]), rhs=float(rec[5]), holds=rec[6] == "true",
-                drift_bound=float(rec[7])))
+            # gamma0, gamma1, lhs, rhs, holds, drift_bound
+            rows.append(SweepRow(code, eps, ConditionReport(
+                *map(float, rec[2:6]), rec[6] == "true", float(rec[7]))))
     return rows
 
 
@@ -112,11 +104,7 @@ def sweep_rows_to_json(rows: list) -> str:
             out.append({"code": r.code, "eps": r.eps, "error": r.error,
                         "holds": False})
         else:
-            out.append({"code": r.code, "eps": r.eps, "gamma0": r.gamma0,
-                        "gamma1": r.gamma1, "lhs": r.lhs, "rhs": r.rhs,
-                        "holds": r.holds,
-                        "drift_bound": "inf" if math.isinf(r.drift_bound)
-                        else r.drift_bound})
+            out.append({"code": r.code, "eps": r.eps, **r.report.to_dict()})
     return json.dumps(out, indent=2)
 
 

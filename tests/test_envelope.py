@@ -504,7 +504,7 @@ class TestRaster:
         assert hit is None
         img = np.stack(rows)
         assert img.shape == (13, 16)
-        pgm = raster_to_pgm(rows)
+        pgm = b"".join(raster_to_pgm(rows))
         assert pgm.startswith(b"P5\n16 13\n255\n")
         assert pgm.endswith(img.tobytes())
         path = tmp_path / "out.pgm"

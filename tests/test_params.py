@@ -249,6 +249,22 @@ class TestConditionCheck:
         assert rep.drift_bound == pytest.approx((rep.lhs - rep.rhs) / d.r,
                                                 abs=1e-12)
 
+    def test_drift_bound_sign_is_the_verdict(self):
+        # 0, 1 and values 1e-15 .. 1e-4 from each end, where the margin
+        # cancels: a bound taken by another rounding route than lhs - rhs
+        # came out positive on quads that fail
+        edges = (0.0, 1e-15, 1e-9, 1e-4, 0.25, 0.5, 0.75,
+                 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-15, 1.0)
+        answered = 0
+        for quad in itertools.product(edges, repeat=4):
+            try:
+                rep = condition_check(derive(ParamQuad(*quad)))
+            except DegenerateDenominatorError:
+                continue
+            answered += 1
+            assert (rep.drift_bound > 0) == rep.holds, quad
+        assert answered == 14555
+
     def test_json_fields(self):
         rep = condition_check(derive(FIG1))
         payload = rep.to_dict()

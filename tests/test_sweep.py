@@ -30,7 +30,7 @@ class TestEpsilonSweep:
         for code in ("0000", "1111"):
             for row in epsilon_sweep([code], [0.01, 0.25, 0.5]):
                 assert row.holds
-                assert math.isinf(row.drift_bound)
+                assert math.isinf(row.report.drift_bound)
 
     def test_linear_margin_families(self):
         grid = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -38,7 +38,8 @@ class TestEpsilonSweep:
             for row in epsilon_sweep([code], grid):
                 if code in FAILING_AT_SMALL_EPS:
                     continue  # margin is not linear there
-                assert row.lhs - row.rhs == pytest.approx(4 * row.eps,
+                rep = row.report
+                assert rep.lhs - rep.rhs == pytest.approx(4 * row.eps,
                                                           abs=1e-12)
                 assert row.holds == (row.eps > 0)
 
@@ -46,22 +47,20 @@ class TestEpsilonSweep:
         for code in sorted(FAILING_AT_SMALL_EPS):
             (row,) = epsilon_sweep([code], [0.01])
             assert not row.holds
-            assert row.drift_bound < 0
+            assert row.report.drift_bound < 0
 
     def test_margin_monotone_in_eps(self):
         grid = [0.02 * k for k in range(1, 25)]
         for code in ("0001", "1000", "0110", "0011"):
             rows = epsilon_sweep([code], grid)
-            margins = [r.lhs - r.rhs for r in rows]
+            margins = [r.report.lhs - r.report.rhs for r in rows]
             assert all(a < b + 1e-12 for a, b in zip(margins, margins[1:]))
 
     def test_degenerate_cell_becomes_marker_row(self):
-        rows = [SweepRow(code="custom", eps=0.0, gamma0=math.nan,
-                         gamma1=math.nan, lhs=math.nan, rhs=math.nan,
-                         holds=False, drift_bound=math.nan, error="w0")]
+        rows = [SweepRow("custom", 0.0, None, "w0")]
         text = sweep_rows_to_csv(rows)
         back = sweep_rows_from_csv(text)
-        assert back[0].error == "w0"
+        assert back[0].error == "w0" and back[0].report is None
         assert back[0].holds is False
 
 
@@ -73,7 +72,7 @@ class TestSerialization:
         for a, b in zip(rows, back):
             assert a.code == b.code and a.eps == b.eps
             for field in ("gamma0", "gamma1", "lhs", "rhs", "drift_bound"):
-                x, y = getattr(a, field), getattr(b, field)
+                x, y = getattr(a.report, field), getattr(b.report, field)
                 assert x == y or (math.isinf(x) and math.isinf(y))
             assert a.holds == b.holds
 
