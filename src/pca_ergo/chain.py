@@ -275,6 +275,6 @@ def estimate_drift(law0: AtomLaw, law1: AtomLaw, c0: int, steps: int,
     after `burn_in` steps."""
     delta = AtomChain(law0, law1).sample(np.random.default_rng(seed), c0,
                                          steps, burn_in).astype(float)
-    return DriftEstimate(mean=float(delta.mean()),
-                         stderr=batch_means_stderr(delta),
+    stderr = batch_means_stderr(delta)  # first: it rejects an empty series
+    return DriftEstimate(mean=float(delta.mean()), stderr=stderr,
                          steps=steps, seed=seed)

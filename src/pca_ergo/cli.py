@@ -1,7 +1,10 @@
 """Command-line front door.
 
-Every subcommand is deterministic given --seed.  Exit codes: 0 success,
-2 invalid input, 3 degenerate closed-form denominator, 4 I/O failure.
+`drift`, `island`, `envelope`, `ca1000` and `volume` take --seed and are
+deterministic given it; the other six subcommands use no randomness.
+Exit codes come from the exception type: 0 success, 2 invalid input
+(ValueError), 3 degenerate closed-form denominator
+(DegenerateDenominatorError), 4 I/O failure (OSError).
 """
 from __future__ import annotations
 
@@ -25,42 +28,30 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_quad(args) -> ParamQuad:
     has_params = getattr(args, "params", None) is not None
     has_ca = getattr(args, "ca", None) is not None
     if has_params == has_ca:
-        raise CliError("supply exactly one of --params or --ca/--eps")
+        raise ValueError("supply exactly one of --params or --ca/--eps")
     if has_params:
         parts = args.params.split(",")
         if len(parts) != 4:
-            raise CliError("--params needs four comma-separated probabilities")
-        try:
-            vals = [float(v) for v in parts]
-            return ParamQuad(*vals)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+            raise ValueError(
+                "--params needs four comma-separated probabilities")
+        return ParamQuad(*(float(v) for v in parts))
     if getattr(args, "eps", None) is None:
-        raise CliError("--ca requires --eps")
-    try:
-        return ca_with_error(args.ca, args.eps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError("--ca requires --eps")
+    return ca_with_error(args.ca, args.eps)
 
 
 def _write(path: str, *chunks: bytes) -> None:
-    """The one file writer: bytes-like chunks, in order, to path; an
-    OSError as exit 4."""
+    """The one file writer: bytes-like chunks, in order, to path; a
+    failure is an OSError naming the path (exit 4)."""
     try:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, text: str) -> None:
@@ -125,7 +116,7 @@ def cmd_drift(args) -> int:
     d = derive(_parse_quad(args))
     side = _side(args.side)
     if d.r <= 0.0:
-        raise CliError("drift analysis requires r > 0")
+        raise ValueError("drift analysis requires r > 0")
     payload = {"side": args.side,
                "bound": asymptotic_increment_bound(d, side)}
     if args.mc_steps:
@@ -163,7 +154,7 @@ def cmd_envelope(args) -> int:
     if args.out:
         try:
             _write(args.out, env.density_to_csv(density).encode())
-        except CliError:
+        except OSError:
             if args.pgm:  # a failed run leaves none of its outputs
                 os.remove(args.pgm)
             raise
@@ -173,15 +164,17 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_ca1000(args) -> int:
-    try:
-        payload = {
-            "eps": args.eps,
-            "mean_s1": refined.mean_s1(args.eps),
-            "mean_00": refined.mean_00(args.eps),
-            "drift_bound": refined.refined_drift_bound(args.eps),
-        }
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.grid is not None:
+        grid = [float(v) for v in args.grid.split(",")]
+        _emit(args, refined.sweep_to_csv(grid, args.mc_steps, args.burn_in,
+                                         args.seed))
+        return EXIT_OK
+    payload = {
+        "eps": args.eps,
+        "mean_s1": refined.mean_s1(args.eps),
+        "mean_00": refined.mean_00(args.eps),
+        "drift_bound": refined.refined_drift_bound(args.eps),
+    }
     if args.mc_steps:
         est = refined.simulate_refined(args.eps, steps=args.mc_steps,
                                        burn_in=args.burn_in, seed=args.seed)
@@ -196,7 +189,7 @@ def cmd_sweep(args) -> int:
     codes = args.codes.split(",") if args.codes else sweep.ALL_CODES
     grid = [float(v) for v in args.grid.split(",")]
     if any(not (0.0 < e <= 0.5) for e in grid):
-        raise CliError("sweep grid values must lie in (0, 1/2]")
+        raise ValueError("sweep grid values must lie in (0, 1/2]")
     rows = sweep.epsilon_sweep(codes, grid)
     text = (sweep.sweep_rows_to_json(rows) if args.format == "json"
             else sweep.sweep_rows_to_csv(rows))
@@ -232,10 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file of default flag values")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
+    def add(name, func, help_, seeded=False):
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(func=func)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if seeded:
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--out", help="output file (default: stdout)")
         return sp
 
@@ -252,25 +246,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--side", choices=["right", "left"], default="right")
 
-    sp = add("drift", cmd_drift, "analytic drift bound, optional Monte Carlo")
+    sp = add("drift", cmd_drift, "analytic drift bound, optional Monte Carlo",
+             seeded=True)
     _add_param_flags(sp)
     sp.add_argument("--side", choices=["right", "left"], default="right")
     sp.add_argument("--mc-steps", type=int, default=0)
     sp.add_argument("--burn-in", type=int, default=1000)
 
-    sp = add("island", cmd_island, "simulate one decorrelated island")
+    sp = add("island", cmd_island, "simulate one decorrelated island",
+             seeded=True)
     _add_param_flags(sp)
     sp.add_argument("--gap", type=int, default=10, help="initial gap (>= 3)")
     sp.add_argument("--horizon", type=int, default=10 ** 4)
 
-    sp = add("envelope", cmd_envelope, "?-extinction run on a ring")
+    sp = add("envelope", cmd_envelope, "?-extinction run on a ring",
+             seeded=True)
     _add_param_flags(sp)
     sp.add_argument("--cells", type=int, default=200)
     sp.add_argument("--max-steps", type=int, default=10 ** 5)
     sp.add_argument("--pgm", help="write a space-time raster here")
 
-    sp = add("ca1000", cmd_ca1000, "refined rule-1000 means and bound")
-    sp.add_argument("--eps", type=float, required=True)
+    sp = add("ca1000", cmd_ca1000, "refined rule-1000 means and bound",
+             seeded=True)
+    at = sp.add_mutually_exclusive_group(required=True)
+    at.add_argument("--eps", type=float)
+    at.add_argument("--grid", help="comma-separated error rates: CSV of "
+                    "closed forms vs Monte Carlo, one row each")
     sp.add_argument("--mc-steps", type=int, default=0)
     sp.add_argument("--burn-in", type=int, default=1000)
 
@@ -282,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("crossover", cmd_crossover,
         "error rates where the condition starts to hold for missed rules")
 
-    sp = add("volume", cmd_volume, "Monte Carlo volume of the condition region")
+    sp = add("volume", cmd_volume,
+             "Monte Carlo volume of the condition region", seeded=True)
     sp.add_argument("--samples", type=int, default=10 ** 6)
     sp.add_argument("--format", choices=["csv", "json"], default="json")
     return ap
@@ -291,6 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(argv: list) -> list:
     """Fold --config file values in as defaults; explicit flags win.
 
+    Each key is a flag of the subcommand (`mc_steps` is `--mc-steps`), put
+    before the explicit flags; argparse keeps a flag's last value, so an
+    explicit flag wins, and a key the subcommand lacks is a usage error.
     Reads `--config FILE` or `--config=FILE`; the parser takes no
     abbreviation of --config, so a shortened form is a usage error rather
     than a dropped config.
@@ -298,7 +303,7 @@ def _apply_config(argv: list) -> list:
     for idx, arg in enumerate(argv):
         if arg == "--config":
             if idx + 1 == len(argv):
-                raise CliError("--config needs a path")
+                raise ValueError("--config needs a path")
             path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
             break
         if arg.startswith("--config="):
@@ -310,22 +315,18 @@ def _apply_config(argv: list) -> list:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}", EXIT_IO)
+        raise OSError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"bad config JSON in {path}: {exc}")
+        raise ValueError(f"bad config JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise CliError(f"config {path} must hold a JSON object, "
-                       f"not {type(cfg).__name__}")
+        raise ValueError(f"config {path} must hold a JSON object, "
+                         f"not {type(cfg).__name__}")
     if not rest:
-        raise CliError("--config given without a subcommand")
-    head, tail = rest[:1], rest[1:]
+        raise ValueError("--config given without a subcommand")
     injected = []
     for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in tail:
-            continue
-        injected.extend([flag, str(value)])
-    return head + injected + tail
+        injected.extend(["--" + key.replace("_", "-"), str(value)])
+    return rest[:1] + injected + rest[1:]
 
 
 def main(argv: list | None = None) -> int:
@@ -335,9 +336,6 @@ def main(argv: list | None = None) -> int:
         argv = _apply_config(argv)
         args = ap.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except DegenerateDenominatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pca_ergo import refined
 from pca_ergo.cli import (DEFAULT_SEED, EXIT_BAD_INPUT, EXIT_DEGENERATE,
                           EXIT_IO, EXIT_OK, main)
 from pca_ergo.sweep import epsilon_sweep, sweep_rows_from_csv
@@ -15,6 +16,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of argparse's usage-error exit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCheck:
@@ -128,6 +137,14 @@ def test_negative_mc_steps_or_burn_in_rejected(capsys, argv):
     assert out == "" and "must be >= 0" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "5"])
+def test_ca1000_grid_needs_a_hundred_mc_steps(capsys, steps):
+    code, out, err = run(capsys, "ca1000", "--grid", "0.1",
+                         "--mc-steps", steps)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err == "error: too few samples for batch means\n"
+
+
 class TestSimulationCommands:
     def test_island_summary(self, capsys):
         code, out, _ = run(capsys, "island", "--params", "0.8,0.3,0.5,0.6",
@@ -185,6 +202,13 @@ class TestSimulationCommands:
     def test_ca1000_rejects_eps_out_of_range(self, capsys):
         code, _, _ = run(capsys, "ca1000", "--eps", "0.6")
         assert code == EXIT_BAD_INPUT
+
+    def test_ca1000_grid_is_the_refined_sweep_csv(self, capsys):
+        code, out, _ = run(capsys, "ca1000", "--grid", "0.1,0.2",
+                           "--mc-steps", "2000", "--burn-in", "100",
+                           "--seed", "0")
+        assert code == EXIT_OK
+        assert out == refined.sweep_to_csv([0.1, 0.2], 2000, 100, 0)
 
 
 class TestSweepVolume:
@@ -288,13 +312,17 @@ class TestConfigAndErrors:
         ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "20", "--out"),
         ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "20", "--pgm"),
         ("crossover", "--out"),
+        ("ca1000", "--grid", "0.1", "--mc-steps", "1000", "--out"),
     ], ids=" ".join)
     def test_every_writer_reports_an_unwritable_path(self, capsys, tmp_path,
                                                     argv):
         path = str(tmp_path / "missing" / "x")
         code, out, err = run(capsys, *argv, path)
         assert code == EXIT_IO
-        assert out == "" and f"cannot write {path}: " in err
+        assert out == "" and err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert run(capsys, *argv, str(tmp_path / "x"))[0] == EXIT_OK
+        assert (tmp_path / "x").is_file()
 
     @pytest.mark.parametrize("bad", ["--pgm", "--out"])
     def test_failed_envelope_leaves_no_output(self, capsys, tmp_path, bad):
@@ -316,6 +344,17 @@ class TestConfigAndErrors:
         assert code == EXIT_BAD_INPUT
         assert out == "" and "JSON object" in err
 
+    def test_config_seed_is_a_flag_of_the_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        code, out, _ = run(capsys, "--config", str(cfg), "drift", "--params",
+                           "0.8,0.3,0.5,0.6", "--mc-steps", "300")
+        assert code == EXIT_OK
+        assert json.loads(out)["seed"] == 5
+        assert exit_code(["--config", str(cfg), "check", "--params",
+                          "0.8,0.3,0.5,0.6"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().out == ""
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -330,7 +369,6 @@ MALFORMED = [
     ("check", "--params", "nan,0,0,0"),
     ("check", "--ca", "2222", "--eps", "0.1"),
     ("check", "--ca", "0011", "--eps", "nan"),
-    ("check", "--params", "0.5,0.5,0.5,0.5", "--seed", "x"),
     ("gamma", "--params", "0,0,1,1"),
     ("gamma", "--params", "0,0,0,0.999999999"),
     ("chain", "--params", "0,0,0,0.999999999"),
@@ -341,6 +379,8 @@ MALFORMED = [
     ("drift", "--params", "0,1,0,1", "--mc-steps", "300"),
     ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "5"),
     ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "-5"),
+    ("drift", "--params", "0.5,0.5,0.5,0.5", "--mc-steps", "300",
+     "--seed", "x"),
     ("island", "--params", "0.8,0.3,0.5,0.6", "--gap", "2"),
     ("island", "--params", "0,1,0,1"),
     ("island", "--params", "0.8,0.3,0.5,0.6", "--horizon", "-1"),
@@ -358,6 +398,9 @@ MALFORMED = [
     ("ca1000", "--eps", "nan"),
     ("ca1000", "--eps", "0.25", "--mc-steps", "5"),
     ("ca1000",),
+    ("ca1000", "--eps", "0.1", "--grid", "0.1"),
+    ("ca1000", "--grid", "0.1"),
+    ("ca1000", "--grid", "", "--mc-steps", "200"),
     ("sweep", "--grid", "abc"),
     ("sweep", "--grid", "nan"),
     ("sweep", "--codes", "2222", "--grid", "0.1"),
@@ -372,13 +415,32 @@ MALFORMED = [
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_exits_cleanly(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = exit_code(argv)
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_IO)
     assert "Traceback" not in err
+
+
+QUAD = ("--params", "0.8,0.3,0.5,0.6")
+UNSEEDED = [("derive", *QUAD), ("check", *QUAD), ("gamma", *QUAD),
+            ("chain", *QUAD), ("sweep", "--grid", "0.1"), ("crossover",)]
+SEEDED = [("drift", *QUAD, "--mc-steps", "300"),
+          ("island", *QUAD, "--horizon", "50"),
+          ("envelope", *QUAD, "--cells", "20"),
+          ("ca1000", "--eps", "0.2", "--mc-steps", "300"),
+          ("volume", "--samples", "1000")]
+
+
+@pytest.mark.parametrize("argv", UNSEEDED, ids=lambda a: a[0])
+def test_seed_is_a_usage_error_where_nothing_reads_it(capsys, argv):
+    assert exit_code([*argv, "--seed", "1"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().out == ""
+    assert exit_code(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=lambda a: a[0])
+def test_seed_is_taken_where_it_is_read(capsys, argv):
+    assert exit_code([*argv, "--seed", "1"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--seed", str(2 ** 128)),
@@ -404,21 +466,6 @@ def run_python(*argv):
                                          os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
-
-
-@pytest.mark.parametrize("script, argv", [
-    ("refined_drift.py", ["--grid", "0.1", "--steps", "1000",
-                          "--burn-in", "10"]),
-])
-def test_scripts_report_an_unwritable_out(tmp_path, script, argv):
-    path = tmp_path / "missing" / "x.csv"
-    res = run_python(str(ROOT / "scripts" / script), *argv, "--out", str(path))
-    assert res.returncode == EXIT_IO
-    assert res.stderr.startswith(f"error: cannot write {path}: ")
-    assert res.stderr.count("\n") == 1
-    res = run_python(str(ROOT / "scripts" / script), *argv,
-                     "--out", str(tmp_path / "x.csv"))
-    assert res.returncode == EXIT_OK and (tmp_path / "x.csv").is_file()
 
 
 # Linux keeps a parent's peak RSS in a spawned child's ru_maxrss, so the

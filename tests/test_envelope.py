@@ -459,6 +459,32 @@ class TestDecorrelation:
         assert a == b
 
 
+def q_density_over_seeds(d, n=1 << 16, steps=12, seeds=range(20)):
+    """Per step t = 1..steps: mean ?-density of the envelope from the
+    all-? ring over the seeds, and its across-seed standard error."""
+    runs = [run_to_decorrelation(d, n, steps, s)[1] for s in seeds]
+    dens = np.array([[k / m for k, m in run] for run in runs])[:, 1:]
+    return dens.mean(axis=0), dens.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+
+
+class TestQDensityRate:
+    # With c = max_x |p(x,0) - p(x,1)| + max_x |p(0,x) - p(1,x)|, a cell
+    # with parents (?, b) is ? with probability |p(0,b) - p(1,b)|, one
+    # with (a, ?) with |p(a,0) - p(a,1)|, one with (?, ?) with r <= c.
+    # Each ? cell so adds at most c to the next step's expected ? count,
+    # and from the all-? ring E[density_t] <= c^t.
+    def test_additive_quad_decays_at_exactly_c(self):
+        # p(a, b) = 0.1 + 0.3 a + 0.4 b: a cell is ? with probability
+        # 0.3 [left ?] + 0.4 [right ?], so E[density_t] = 0.7^t exactly
+        mean, se = q_density_over_seeds(derive(ParamQuad(0.1, 0.5, 0.4, 0.8)))
+        z = (mean - 0.7 ** np.arange(1, 13)) / se
+        assert np.abs(z).max() <= 4.0, z
+
+    def test_fig1_decays_no_slower_than_c(self):
+        mean, se = q_density_over_seeds(derive(FIG1))
+        assert (mean <= 0.8 ** np.arange(1, 13) + 4.0 * se).all()
+
+
 def byte_rows(rings):
     """PGM rows of rings, mapped cell by cell: 0 -> 255, 1 -> 0, ? -> 128."""
     byte = {0: 255, 1: 0, Q: 128}

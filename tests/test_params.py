@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,6 +326,28 @@ class TestBatchCondition:
                 assert not degen[k]
                 assert rep.holds == bool(holds[k])
         assert n_degenerate == 38
+
+    def test_dobrushin_condition_implies_the_condition(self):
+        # Dobrushin's contraction criterion is c < 1, with
+        # c = max_x |p(x,0) - p(x,1)| + max_x |p(0,x) - p(1,x)|.  Each
+        # side's term of rhs is at most its max, so rhs <= c < 1 <= lhs:
+        # every such quad holds, and none may be degenerate.
+        near = (0.0, 1e-15, 1e-9, 1e-4, 0.25)
+        values = near + (0.5,) + tuple(1.0 - v for v in reversed(near))
+        lattice = np.array(list(itertools.product(values, repeat=4)))
+        rand = random_quads(20000, seed=0)
+        # c is exact in the float entries: 48 lattice quads whose rational
+        # c is 1 have c just below 1 once 1 - v is rounded
+        for quads, n_want in ((lattice, 3411), (rand, 11659)):
+            c = [max(abs(p00 - p01), abs(p10 - p11))
+                 + max(abs(p00 - p10), abs(p01 - p11))
+                 for p00, p01, p10, p11 in (map(Fraction, q) for q in quads)]
+            inside = np.array([ck < 1 for ck in c])
+            assert inside.sum() == n_want
+            holds, degen = condition_holds_batch(quads[inside])
+            assert holds.all() and not degen.any()
+            for q in quads[inside]:
+                assert condition_check(derive(ParamQuad(*q))).holds, q
 
     def test_r_zero_rows_hold(self):
         holds, degen = condition_holds_batch(
