@@ -9,6 +9,7 @@ Exit codes come from the exception type: 0 success, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,10 @@ def _add_param_flags(sp) -> None:
     sp.add_argument("--eps", type=float, help="error rate for --ca")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    does not change it, so `main` reuses it on every call."""
     ap = argparse.ArgumentParser(
         prog="pca-ergo",
         description="Ergodicity toolkit for two-neighbour binary PCA",
@@ -325,8 +329,24 @@ def _apply_config(argv: list) -> list:
         raise ValueError("--config given without a subcommand")
     injected = []
     for key, value in cfg.items():
-        injected.extend(["--" + key.replace("_", "-"), str(value)])
+        injected.extend(["--" + key.replace("_", "-"), _flag_value(key, value)])
     return rest[:1] + injected + rest[1:]
+
+
+def _flag_value(key: str, value) -> str:
+    """A config value as it is spelled on the command line: a list
+    comma-joined, an integral number as an int, any other number by repr,
+    a string as is.  Booleans, null and objects are invalid input."""
+    if isinstance(value, list):
+        return ",".join(_flag_value(key, v) for v in value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    raise ValueError(f"config key {key!r}: {json.dumps(value)} is not a "
+                     "flag value (use a number, a string or a list)")
 
 
 def main(argv: list | None = None) -> int:

@@ -58,7 +58,7 @@ def _check_prob(value: float, name: str) -> None:
         raise ValueError(f"{name}={value!r} is not a probability in [0,1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamQuad:
     """PCA parameter: probability the child is 1 given parents (left,right)."""
 
@@ -104,7 +104,7 @@ def flip_conjugate(quad: ParamQuad) -> ParamQuad:
                      1.0 - quad.p01, 1.0 - quad.p00)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedParams:
     """All derived min/max/rest probabilities of a parameter quadruplet.
 
@@ -166,7 +166,7 @@ def derive(quad: ParamQuad) -> DerivedParams:
     return DerivedParams(quad, *_derived(*quad.as_tuple(), min, max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryChain:
     """3x3 transition matrix of the boundary-state chain, rows Zero/One/Star."""
 
@@ -346,7 +346,7 @@ def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
     return -1.0 / d.r + weighted / d.r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """Result of evaluating the ergodicity condition on one parameter."""
 

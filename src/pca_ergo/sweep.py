@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (ConditionReport, DegenerateDenominatorError,
+from .params import (_CHUNK_ROWS, ConditionReport, DegenerateDenominatorError,
                      ca_with_error, condition_check, condition_holds_batch,
                      derive)
 from .walk import simulate_island
@@ -149,24 +149,24 @@ def volume_estimate(samples: int, seed: int) -> VolumeEstimate:
 
     Degenerate closed-form cells (a measure-zero event) count as misses and
     are tallied.  Work is split into fixed batches with per-batch counter
-    streams.
+    streams; each batch is drawn and evaluated in slices of _CHUNK_ROWS
+    rows, which continue one another's stream, to bound the memory of the
+    draws.
     """
     batch = 1 << 17  # batch k draws from Philox counter [0, 0, 1, k]
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
     degen = 0
-    done = 0
-    batch_idx = 0
-    while done < samples:
-        m = min(batch, samples - done)
+    for batch_idx, start in enumerate(range(0, samples, batch)):
         bg = np.random.Philox(key=seed, counter=[0, 0, 1, batch_idx])
-        quads = np.random.Generator(bg).random((m, 4))
-        h, dg = condition_holds_batch(quads)
-        hits += int(h.sum())
-        degen += int(dg.sum())
-        done += m
-        batch_idx += 1
+        gen = np.random.Generator(bg)
+        m = min(batch, samples - start)
+        for done in range(0, m, _CHUNK_ROWS):
+            quads = gen.random((min(_CHUNK_ROWS, m - done), 4))
+            h, dg = condition_holds_batch(quads)
+            hits += int(h.sum())
+            degen += int(dg.sum())
     lo, hi = wilson_interval(hits, samples)
     return VolumeEstimate(samples=samples, hits=hits, degenerate=degen,
                           fraction=hits / samples, ci95_low=lo, ci95_high=hi,

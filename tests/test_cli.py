@@ -8,7 +8,7 @@ import pytest
 
 from pca_ergo import refined
 from pca_ergo.cli import (DEFAULT_SEED, EXIT_BAD_INPUT, EXIT_DEGENERATE,
-                          EXIT_IO, EXIT_OK, main)
+                          EXIT_IO, EXIT_OK, build_parser, main)
 from pca_ergo.sweep import epsilon_sweep, sweep_rows_from_csv
 
 
@@ -355,10 +355,85 @@ class TestConfigAndErrors:
                           "0.8,0.3,0.5,0.6"]) == EXIT_BAD_INPUT
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("cfg, argv, flags", [
+        ({"mc_steps": 1e3}, ("ca1000", "--eps", "0.2"),
+         ("--mc-steps", "1000")),
+        ({"codes": ["0011", "1000"]}, ("sweep", "--grid", "0.1"),
+         ("--codes", "0011,1000")),
+        ({"eps": 0.1}, ("check", "--ca", "0011"), ("--eps", "0.1")),
+    ], ids=["float mc_steps", "list of codes", "eps"])
+    def test_config_values_are_spelled_as_flags(self, capsys, tmp_path, cfg,
+                                                argv, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        got = run(capsys, "--config", str(path), *argv)
+        assert got[0] == EXIT_OK
+        assert got == run(capsys, argv[0], *flags, *argv[1:])
+
+    @pytest.mark.parametrize("value", [True, False, None, {"a": 1}],
+                             ids=json.dumps)
+    def test_config_value_that_is_no_flag_is_bad_input(self, capsys, tmp_path,
+                                                       value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mc_steps": value}))
+        code, out, err = run(capsys, "--config", str(path), "drift",
+                             "--params", "0.8,0.3,0.5,0.6")
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and err.startswith("error: config key 'mc_steps': ")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call."""
+    return (exit_code(argv), *capsys.readouterr())
+
+
+# Calls in the order one process makes them, with their exit codes: each
+# must come out as it does alone, though they share one parser.
+SEQUENCES = [
+    ([("check", "--params", "0.8,0.3,0.5,0.6", "--seed", "1"),
+      ("check", "--params", "0.8,0.3,0.5,0.6")], [2, 0]),
+    ([("ca1000", "--eps", "0.1", "--grid", "0.1"),
+      ("ca1000", "--grid", "0.1,0.2", "--mc-steps", "2000", "--burn-in",
+       "100"),
+      ("ca1000", "--eps", "0.2")], [2, 0, 0]),
+    ([("--config", "CFG", "drift", "--params", "0.8,0.3,0.5,0.6"),
+      ("drift", "--params", "0.8,0.3,0.5,0.6")], [0, 0]),
+    ([("--help",), ("gamma", "--params", "0.8,0.3,0.5,0.6")], [0, 0]),
+]
+
+
+class TestOneParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("calls, codes", SEQUENCES,
+                             ids=["check", "ca1000", "config", "help"])
+    def test_a_call_comes_out_as_it_does_alone(self, capsys, tmp_path, calls,
+                                               codes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"side": "left", "mc_steps": 300}))
+        calls = [[str(cfg) if a == "CFG" else a for a in argv]
+                 for argv in calls]
+        shared = [outcome(capsys, argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append(outcome(capsys, argv))
+        assert [c for c, _, _ in shared] == codes
+        assert shared == alone
+
+    @pytest.mark.parametrize("calls", [SEQUENCES[1][0], SEQUENCES[3][0]],
+                             ids=["ca1000", "gamma"])
+    def test_the_last_call_matches_a_fresh_process(self, capsys, calls):
+        for argv in calls:
+            code, out, _ = outcome(capsys, argv)
+        fresh = run_python("-m", "pca_ergo.cli", *calls[-1])
+        assert (fresh.returncode, fresh.stdout) == (code, out)
 
 
 # Malformed or extreme input for every subcommand: each must end in a

@@ -484,6 +484,12 @@ class TestQDensityRate:
         mean, se = q_density_over_seeds(derive(FIG1))
         assert (mean <= 0.8 ** np.arange(1, 13) + 4.0 * se).all()
 
+    def test_ca_rule_decays_no_slower_than_c(self):
+        # rule 0110 at eps 0.3 is (0.3, 0.7, 0.7, 0.3): each side's
+        # |p(x,0) - p(x,1)| is 0.4 for both x, so c = 0.8
+        mean, se = q_density_over_seeds(derive(ca_with_error("0110", 0.3)))
+        assert (mean <= 0.8 ** np.arange(1, 13) + 4.0 * se).all()
+
 
 def byte_rows(rings):
     """PGM rows of rings, mapped cell by cell: 0 -> 255, 1 -> 0, ? -> 128."""
