@@ -2,7 +2,8 @@
 and the ergodicity condition for two-neighbour binary PCA.
 
 The condition's formulas are written once: the derived quantities
-(`_derived`), the six closed-form gamma cells (`_GAMMA_CELLS`) and the
+(`_derived`), the three closed-form gamma cells of favourable state 0
+(`_GAMMA_CELLS`; state 1 reads them through the 0<->1 exchange) and the
 right-hand side (`_rhs`).  Two drivers run them: the scalar API (`derive`,
 `gamma_table`, `condition_check`) on plain floats and small dataclasses, and
 `condition_holds_batch` on numpy columns, for sweeps.
@@ -245,41 +246,43 @@ def stationary_solve(chain: BoundaryChain,
             BState.STAR: w2 / total}
 
 
+def _favours_one(rri):
+    """Whether the favourable state is 1: r^(i)_0 <= r^(i)_1 picks 0.
+
+    On a side's (r^(i)_0, r^(i)_1) as floats or as columns."""
+    return rri[0] > rri[1]
+
+
 def favourable_state(d: DerivedParams, side: Side) -> BState:
     """The boundary value w with the smaller r^(i)_w (ties -> Zero)."""
-    return _favourable(d.rr[side.sup])
+    return BState.ONE if _favours_one(d.rr[side.sup]) else BState.ZERO
 
 
-def _favourable(rri) -> BState:
-    """favourable_state from the side's (r^(i)_0, r^(i)_1)."""
-    return BState.ZERO if rri[0] <= rri[1] else BState.ONE
+def worst_state(d: DerivedParams, side: Side) -> BState:
+    """The concrete state with the larger remainder r^(i) (ties -> Zero):
+    Star's stand-in in the boundary walk."""
+    i = side.sup
+    return BState.ZERO if d.rr[i][0] >= d.rr[i][1] else BState.ONE
 
 
-# The six closed-form gamma cells of one side, as (favourable state, name,
+# The three closed-form gamma cells of favourable state 0, as (names,
 # applicable, (numerator, denominator)) over (Q0, Q1, P0, P1) =
 # (Q^(i)_0, Q^(i)_1, P^(i)_0, P^(i)_1), on floats or on columns; the cell's
-# gamma is numerator / denominator.  The three cells of a favourable state
-# are in order of precedence and between them cover every (Q, P).
+# gamma is numerator / denominator.  The cells are in order of precedence
+# and between them cover every (Q, P).  Exchanging the labels 0 and 1 maps
+# (Q0, Q1, P0, P1) to (P1, P0, Q1, Q0), the reversed tuple, so favourable
+# state 1's cells are the same cells read at the reversed arguments;
+# names[w] names the cell for favourable state w.
 _GAMMA_CELLS = (
-    (BState.ZERO, "w0/Q1<=Q0",
+    (("w0/Q1<=Q0", "w1/P0<=P1"),
      lambda Q0, Q1, P0, P1: Q1 <= Q0,
      lambda Q0, Q1, P0, P1: (Q1, 1.0 - (Q0 - Q1))),
-    (BState.ZERO, "w0/Q1>=Q0,P0<=P1",
+    (("w0/Q1>=Q0,P0<=P1", "w1/P0>=P1,Q1<=Q0"),
      lambda Q0, Q1, P0, P1: (Q1 >= Q0) & (P0 <= P1),
      lambda Q0, Q1, P0, P1: (Q1 * P0 + Q0 * (1.0 - P1), 1.0 - (P1 - P0))),
-    (BState.ZERO, "w0/Q1>=Q0,P0>=P1",
+    (("w0/Q1>=Q0,P0>=P1", "w1/P0>=P1,Q1>=Q0"),
      lambda Q0, Q1, P0, P1: (Q1 >= Q0) & (P0 >= P1),
      lambda Q0, Q1, P0, P1: (Q0 + P1 * (Q1 - Q0),
-                             1.0 - (Q1 - Q0) * (P0 - P1))),
-    (BState.ONE, "w1/P0<=P1",
-     lambda Q0, Q1, P0, P1: P0 <= P1,
-     lambda Q0, Q1, P0, P1: (P0, 1.0 - (P1 - P0))),
-    (BState.ONE, "w1/P0>=P1,Q1<=Q0",
-     lambda Q0, Q1, P0, P1: (P0 >= P1) & (Q1 <= Q0),
-     lambda Q0, Q1, P0, P1: (P0 * Q1 + P1 * (1.0 - Q0), 1.0 - (Q0 - Q1))),
-    (BState.ONE, "w1/P0>=P1,Q1>=Q0",
-     lambda Q0, Q1, P0, P1: (P0 >= P1) & (Q1 >= Q0),
-     lambda Q0, Q1, P0, P1: (P1 + Q0 * (P0 - P1),
                              1.0 - (Q1 - Q0) * (P0 - P1))),
 )
 
@@ -293,14 +296,16 @@ def gamma_table(d: DerivedParams, side: Side) -> float:
     asserted and the first is returned.
     """
     i = side.sup
-    w = _favourable(d.rr[i])
+    w = _favours_one(d.rr[i])
     QP = (d.QQ[i][0], d.QQ[i][1], d.PP[i][0], d.PP[i][1])
+    if w:
+        QP = QP[::-1]
     values = []
-    for state, cell, applies, fraction in _GAMMA_CELLS:
-        if state is w and applies(*QP):
+    for names, applies, fraction in _GAMMA_CELLS:
+        if applies(*QP):
             num, den = fraction(*QP)
             if den == 0.0:
-                raise DegenerateDenominatorError(cell)
+                raise DegenerateDenominatorError(names[int(w)])
             values.append(num / den)
     first = values[0]
     for v in values[1:]:
@@ -313,20 +318,15 @@ def gamma_table(d: DerivedParams, side: Side) -> float:
 def mean_increment(d: DerivedParams, side: Side, y: BState) -> float:
     """Exact per-state mean of the one-step boundary displacement.
 
-    For the forgotten state the conservative extremum is used (min on the
-    right, max on the left), preserving the direction of the drift bounds.
+    For the forgotten state the worst concrete state's mean is used (the
+    smaller on the right, the larger on the left), preserving the direction
+    of the drift bounds.
     """
     if d.r <= 0.0:
         raise ZeroDivisionError("mean increment undefined when r = 0")
-    i = side.sup
-    if side is Side.RIGHT:
-        if y is BState.STAR:
-            return -1.0 + (1.0 - max(d.rr[i][0], d.rr[i][1])) / d.r
-        return -1.0 + (1.0 - d.rr[i][y.value]) / d.r
-    else:
-        if y is BState.STAR:
-            return -(1.0 - max(d.rr[i][0], d.rr[i][1])) / d.r
-        return -(1.0 - d.rr[i][y.value]) / d.r
+    x = (worst_state(d, side) if y is BState.STAR else y).value
+    outward = (1.0 - d.rr[side.sup][x]) / d.r
+    return -1.0 + outward if side is Side.RIGHT else -outward
 
 
 def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
@@ -448,9 +448,9 @@ def _gamma_batch(QQi, PPi, rri):
     """Per row of one side: gamma of its first applicable cell, and that
     cell's denominator (the favourable state as in `favourable_state`)."""
     QP = (QQi[0], QQi[1], PPi[0], PPi[1])
-    zero = rri[0] <= rri[1]
-    first = np.argmax([(zero if state is BState.ZERO else ~zero) & applies(*QP)
-                       for state, _, applies, _ in _GAMMA_CELLS], axis=0)
+    one = _favours_one(rri)  # rows read at the exchanged arguments
+    QP = [np.where(one, b, a) for a, b in zip(QP, QP[::-1])]
+    first = np.argmax([applies(*QP) for _, applies, _ in _GAMMA_CELLS], axis=0)
     nums, dens = zip(*(fraction(*QP) for *_, fraction in _GAMMA_CELLS))
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.choose(first, [n / d for n, d in zip(nums, dens)])

@@ -16,13 +16,7 @@ import numpy as np
 
 from .chain import (BLOCK, GROUP, AtomChain, AtomLaw, DriftEstimate,
                     estimate_drift, two_class_mean, uniforms)
-from .params import BState, DerivedParams, Side, TOL_IDENTITY
-
-
-def _worst_state(d: DerivedParams, side: Side) -> BState:
-    """The concrete state with the larger remainder r^(i): Star's stand-in."""
-    i = side.sup
-    return BState.ZERO if d.rr[i][0] >= d.rr[i][1] else BState.ONE
+from .params import BState, DerivedParams, Side, TOL_IDENTITY, worst_state
 
 
 def increment_law(d: DerivedParams, side: Side, y: BState) -> AtomLaw:
@@ -36,7 +30,7 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> AtomLaw:
     """
     if d.r <= 0.0:
         raise ValueError("increment law requires r > 0")
-    worst = _worst_state(d, side)
+    worst = worst_state(d, side)
     x = (worst if y is BState.STAR else y).value
     p, q, r = d.p, d.q, d.r
     r0, q0, p0 = d.rr[0][x], d.qq[0][x], d.pp[0][x]

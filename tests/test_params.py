@@ -18,6 +18,9 @@ from conftest import positive_quads, quads, random_quads
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 EPS_GRID = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+# 0, 1 and values 1e-15 .. 1e-4 from each end, where the formulas cancel
+NEAR = (0.0, 1e-15, 1e-9, 1e-4, 0.25)
+EDGES_11 = NEAR + (0.5,) + tuple(1.0 - v for v in reversed(NEAR))
 
 
 class TestDerive:
@@ -156,11 +159,19 @@ class TestGammaTable:
                 assert g == pytest.approx(nu[favourable_state(d, side)],
                                           abs=1e-10)
 
-    def test_degenerate_denominator_flagged(self):
-        # rule 0011 at eps 0: Q0 = 1, Q1 = 0 makes the w0 cell denominator 0
-        d = derive(ParamQuad(0.0, 0.0, 1.0, 1.0))
-        with pytest.raises(DegenerateDenominatorError):
-            gamma_table(d, Side.RIGHT)
+    # The three cell names the 11^4 edge lattice reaches; the second is a
+    # state-0 cell read at the exchanged arguments.
+    @pytest.mark.parametrize("quad, cell", [
+        ((0.0, 0.0, 0.0, 1.0), "w0/Q1<=Q0"),
+        ((0.0, 1e-15, 1.0, 1.0), "w1/P0<=P1"),
+        ((1.0, 0.0, 1.0, 0.0), "w0/Q1>=Q0,P0>=P1"),
+    ], ids=["w0_cell1", "w1_cell1", "w0_cell3"])
+    def test_degenerate_denominator_flagged(self, quad, cell):
+        with pytest.raises(DegenerateDenominatorError) as exc:
+            gamma_table(derive(ParamQuad(*quad)), Side.RIGHT)
+        assert exc.value.cell == cell
+        holds, degen = condition_holds_batch(np.array([quad]))
+        assert degen[0] and not holds[0]
 
 
 class TestStationarySolve:
@@ -251,13 +262,10 @@ class TestConditionCheck:
                                                 abs=1e-12)
 
     def test_drift_bound_sign_is_the_verdict(self):
-        # 0, 1 and values 1e-15 .. 1e-4 from each end, where the margin
-        # cancels: a bound taken by another rounding route than lhs - rhs
-        # came out positive on quads that fail
-        edges = (0.0, 1e-15, 1e-9, 1e-4, 0.25, 0.5, 0.75,
-                 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-15, 1.0)
+        # On the edge lattice the margin cancels: a bound taken by another
+        # rounding route than lhs - rhs came out positive on quads that fail
         answered = 0
-        for quad in itertools.product(edges, repeat=4):
+        for quad in itertools.product(EDGES_11, repeat=4):
             try:
                 rep = condition_check(derive(ParamQuad(*quad)))
             except DegenerateDenominatorError:
@@ -312,29 +320,29 @@ class TestBatchCondition:
             assert rep.holds == bool(holds[k])
 
         # Exact 0/1 entries, ties and near-degenerate values: degenerate
-        # means the scalar path raises DegenerateDenominatorError.
-        lattice = np.array(list(itertools.product(EDGE_VALUES, repeat=4)))
-        holds, degen = condition_holds_batch(lattice)
-        n_degenerate = 0
-        for k in range(len(lattice)):
-            try:
-                rep = condition_check(derive(ParamQuad(*lattice[k])))
-            except DegenerateDenominatorError:
-                assert degen[k] and not holds[k]
-                n_degenerate += 1
-            else:
-                assert not degen[k]
-                assert rep.holds == bool(holds[k])
-        assert n_degenerate == 38
+        # means the scalar path raises DegenerateDenominatorError.  The
+        # 11-value lattice reaches the exchanged cells under cancellation.
+        for values, n_want in ((EDGE_VALUES, 38), (EDGES_11, 86)):
+            lattice = np.array(list(itertools.product(values, repeat=4)))
+            holds, degen = condition_holds_batch(lattice)
+            n_degenerate = 0
+            for k in range(len(lattice)):
+                try:
+                    rep = condition_check(derive(ParamQuad(*lattice[k])))
+                except DegenerateDenominatorError:
+                    assert degen[k] and not holds[k]
+                    n_degenerate += 1
+                else:
+                    assert not degen[k]
+                    assert rep.holds == bool(holds[k])
+            assert n_degenerate == n_want
 
     def test_dobrushin_condition_implies_the_condition(self):
         # Dobrushin's contraction criterion is c < 1, with
         # c = max_x |p(x,0) - p(x,1)| + max_x |p(0,x) - p(1,x)|.  Each
         # side's term of rhs is at most its max, so rhs <= c < 1 <= lhs:
         # every such quad holds, and none may be degenerate.
-        near = (0.0, 1e-15, 1e-9, 1e-4, 0.25)
-        values = near + (0.5,) + tuple(1.0 - v for v in reversed(near))
-        lattice = np.array(list(itertools.product(values, repeat=4)))
+        lattice = np.array(list(itertools.product(EDGES_11, repeat=4)))
         rand = random_quads(20000, seed=0)
         # c is exact in the float entries: 48 lattice quads whose rational
         # c is 1 have c just below 1 once 1 - v is rounded
