@@ -1,5 +1,11 @@
 """Command-line front door.
 
+Each `cmd_*` takes the parsed flags and the quad of --params or --ca/--eps,
+derived (None for the four commands without those flags), and returns its
+result, which `main` emits: a dict as indented JSON, a string as is, to
+--out or stdout.  `island` and `envelope`, whose --out is a data file
+beside a JSON summary on stdout, write their own output and return None.
+
 `drift`, `island`, `envelope`, `ca1000` and `volume` take --seed and are
 deterministic given it; the other six subcommands use no randomness.
 Exit codes come from the exception type: 0 success, 2 invalid input
@@ -30,17 +36,15 @@ EXIT_IO = 4
 
 
 def _parse_quad(args) -> ParamQuad:
-    has_params = getattr(args, "params", None) is not None
-    has_ca = getattr(args, "ca", None) is not None
-    if has_params == has_ca:
+    if (args.params is None) == (args.ca is None):
         raise ValueError("supply exactly one of --params or --ca/--eps")
-    if has_params:
+    if args.params is not None:
         parts = args.params.split(",")
         if len(parts) != 4:
             raise ValueError(
                 "--params needs four comma-separated probabilities")
         return ParamQuad(*(float(v) for v in parts))
-    if getattr(args, "eps", None) is None:
+    if args.eps is None:
         raise ValueError("--ca requires --eps")
     return ca_with_error(args.ca, args.eps)
 
@@ -55,12 +59,14 @@ def _write(path: str, *chunks: bytes) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(args, text: str) -> None:
-    """Write text, ending in exactly one newline, to --out or stdout."""
+def _emit(out: str | None, result) -> None:
+    """Write a command's result to the file `out`, or to stdout: a dict as
+    indented JSON, a string as is, ending in exactly one newline."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2)
     if not text.endswith("\n"):
         text += "\n"
-    if args.out:
-        _write(args.out, text.encode())
+    if out:
+        _write(out, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -69,9 +75,8 @@ def _side(name: str) -> Side:
     return Side.RIGHT if name == "right" else Side.LEFT
 
 
-def cmd_derive(args) -> int:
-    d = derive(_parse_quad(args))
-    payload = {
+def cmd_derive(args, d) -> dict:
+    return {
         "params": list(d.quad.as_tuple()),
         "p": d.p, "q": d.q, "r": d.r,
         "p_i_x": [list(row) for row in d.pp],
@@ -81,43 +86,30 @@ def cmd_derive(args) -> int:
         "Q_i_x": [list(row) for row in d.QQ],
         "R_x": list(d.RR),
     }
-    _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    rep = condition_check(derive(_parse_quad(args)))
-    _emit(args, json.dumps(rep.to_dict(), indent=2))
-    return EXIT_OK
+def cmd_check(args, d) -> dict:
+    return condition_check(d).to_dict()
 
 
-def cmd_gamma(args) -> int:
-    d = derive(_parse_quad(args))
-    payload = {"gamma0": gamma_table(d, Side.RIGHT),
-               "gamma1": gamma_table(d, Side.LEFT)}
-    _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
+def cmd_gamma(args, d) -> dict:
+    return {"gamma0": gamma_table(d, Side.RIGHT),
+            "gamma1": gamma_table(d, Side.LEFT)}
 
 
-def cmd_chain(args) -> int:
-    d = derive(_parse_quad(args))
+def cmd_chain(args, d) -> dict:
     chain = boundary_chain(d, _side(args.side))
     nu = stationary_solve(chain)
-    payload = {
+    return {
         "side": args.side,
         "rows": {str(s): list(map(float, chain.rows[s.value]))
                  for s in BState},
         "stationary": {str(s): nu[s] for s in BState},
     }
-    _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
 
 
-def cmd_drift(args) -> int:
-    d = derive(_parse_quad(args))
+def cmd_drift(args, d) -> dict:
     side = _side(args.side)
-    if d.r <= 0.0:
-        raise ValueError("drift analysis requires r > 0")
     payload = {"side": args.side,
                "bound": asymptotic_increment_bound(d, side)}
     if args.mc_steps:
@@ -127,12 +119,10 @@ def cmd_drift(args) -> int:
         payload["mc_stderr"] = est.stderr
         payload["mc_steps"] = est.steps
         payload["seed"] = est.seed
-    _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
+    return payload
 
 
-def cmd_island(args) -> int:
-    d = derive(_parse_quad(args))
+def cmd_island(args, d) -> None:
     traj = walk.simulate_island(d, n0=args.gap, horizon=args.horizon,
                                 seed=args.seed)
     if args.out:
@@ -141,11 +131,9 @@ def cmd_island(args) -> int:
         print(json.dumps({"steps": len(traj.i) - 1,
                           "gap": int(traj.j[-1] - traj.i[-1]),
                           "alive": bool(traj.alive[-1]), "seed": args.seed}))
-    return EXIT_OK
 
 
-def cmd_envelope(args) -> int:
-    d = derive(_parse_quad(args))
+def cmd_envelope(args, d) -> None:
     size = dict(n=args.cells, max_steps=args.max_steps, seed=args.seed)
     if args.pgm:
         hit, density, rows = env.run_with_raster(d, **size)
@@ -161,15 +149,13 @@ def cmd_envelope(args) -> int:
             raise
     print(json.dumps({"hit_time": hit, "cells": args.cells,
                       "seed": args.seed}))
-    return EXIT_OK
 
 
-def cmd_ca1000(args) -> int:
+def cmd_ca1000(args, d) -> dict | str:
     if args.grid is not None:
         grid = [float(v) for v in args.grid.split(",")]
-        _emit(args, refined.sweep_to_csv(grid, args.mc_steps, args.burn_in,
-                                         args.seed))
-        return EXIT_OK
+        return refined.sweep_to_csv(grid, args.mc_steps, args.burn_in,
+                                    args.seed)
     payload = {
         "eps": args.eps,
         "mean_s1": refined.mean_s1(args.eps),
@@ -182,40 +168,28 @@ def cmd_ca1000(args) -> int:
         payload["mc_mean"] = est.mean
         payload["mc_stderr"] = est.stderr
         payload["seed"] = est.seed
-    _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
+    return payload
 
 
-def cmd_sweep(args) -> int:
-    codes = args.codes.split(",") if args.codes else sweep.ALL_CODES
+def cmd_sweep(args, d) -> str:
+    # an empty --codes names no rule; it is not "all 16"
+    codes = (args.codes.split(",") if args.codes is not None
+             else sweep.ALL_CODES)
     grid = [float(v) for v in args.grid.split(",")]
     if any(not (0.0 < e <= 0.5) for e in grid):
         raise ValueError("sweep grid values must lie in (0, 1/2]")
     rows = sweep.epsilon_sweep(codes, grid)
-    text = (sweep.sweep_rows_to_json(rows) if args.format == "json"
+    return (sweep.sweep_rows_to_json(rows) if args.format == "json"
             else sweep.sweep_rows_to_csv(rows))
-    _emit(args, text)
-    return EXIT_OK
 
 
-def cmd_crossover(args) -> int:
-    crossovers = {code: bisect_crossover(code) for code in sweep.MISSED_CODES}
-    _emit(args, json.dumps(crossovers, indent=2))
-    return EXIT_OK
+def cmd_crossover(args, d) -> dict:
+    return {code: bisect_crossover(code) for code in sweep.MISSED_CODES}
 
 
-def cmd_volume(args) -> int:
+def cmd_volume(args, d) -> dict | str:
     est = sweep.volume_estimate(args.samples, seed=args.seed)
-    text = (est.to_csv() if args.format == "csv"
-            else json.dumps(est.to_dict(), indent=2))
-    _emit(args, text)
-    return EXIT_OK
-
-
-def _add_param_flags(sp) -> None:
-    sp.add_argument("--params", help="p00,p01,p10,p11")
-    sp.add_argument("--ca", help="4-bit rule code, e.g. 0011")
-    sp.add_argument("--eps", type=float, help="error rate for --ca")
+    return est.to_csv() if args.format == "csv" else est.to_dict()
 
 
 @functools.cache
@@ -229,43 +203,39 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file of default flag values")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, seeded=False):
+    def add(name, func, help_, quad=False, seeded=False):
         sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, quad=quad)
         if seeded:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--out", help="output file (default: stdout)")
+        if quad:
+            sp.add_argument("--params", help="p00,p01,p10,p11")
+            sp.add_argument("--ca", help="4-bit rule code, e.g. 0011")
+            sp.add_argument("--eps", type=float, help="error rate for --ca")
         return sp
 
-    sp = add("derive", cmd_derive, "derived min/max/rest quantities")
-    _add_param_flags(sp)
+    add("derive", cmd_derive, "derived min/max/rest quantities", quad=True)
+    add("check", cmd_check, "evaluate the ergodicity condition", quad=True)
+    add("gamma", cmd_gamma, "closed-form gamma values per side", quad=True)
 
-    sp = add("check", cmd_check, "evaluate the ergodicity condition")
-    _add_param_flags(sp)
-
-    sp = add("gamma", cmd_gamma, "closed-form gamma values per side")
-    _add_param_flags(sp)
-
-    sp = add("chain", cmd_chain, "boundary-state chain and its stationary law")
-    _add_param_flags(sp)
+    sp = add("chain", cmd_chain, "boundary-state chain and its stationary law",
+             quad=True)
     sp.add_argument("--side", choices=["right", "left"], default="right")
 
     sp = add("drift", cmd_drift, "analytic drift bound, optional Monte Carlo",
-             seeded=True)
-    _add_param_flags(sp)
+             quad=True, seeded=True)
     sp.add_argument("--side", choices=["right", "left"], default="right")
     sp.add_argument("--mc-steps", type=int, default=0)
     sp.add_argument("--burn-in", type=int, default=1000)
 
     sp = add("island", cmd_island, "simulate one decorrelated island",
-             seeded=True)
-    _add_param_flags(sp)
+             quad=True, seeded=True)
     sp.add_argument("--gap", type=int, default=10, help="initial gap (>= 3)")
     sp.add_argument("--horizon", type=int, default=10 ** 4)
 
     sp = add("envelope", cmd_envelope, "?-extinction run on a ring",
-             seeded=True)
-    _add_param_flags(sp)
+             quad=True, seeded=True)
     sp.add_argument("--cells", type=int, default=200)
     sp.add_argument("--max-steps", type=int, default=10 ** 5)
     sp.add_argument("--pgm", help="write a space-time raster here")
@@ -353,18 +323,17 @@ def main(argv: list | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(argv)
-        args = ap.parse_args(argv)
-        return args.func(args)
-    except DegenerateDenominatorError as exc:
+        args = ap.parse_args(_apply_config(argv))
+        d = derive(_parse_quad(args)) if args.quad else None
+        result = args.func(args, d)
+        if result is not None:
+            _emit(args.out, result)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, DegenerateDenominatorError):
+            return EXIT_DEGENERATE
+        return EXIT_BAD_INPUT if isinstance(exc, ValueError) else EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

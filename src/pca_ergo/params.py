@@ -323,7 +323,7 @@ def mean_increment(d: DerivedParams, side: Side, y: BState) -> float:
     of the drift bounds.
     """
     if d.r <= 0.0:
-        raise ZeroDivisionError("mean increment undefined when r = 0")
+        raise ValueError("drift analysis requires r > 0")
     x = (worst_state(d, side) if y is BState.STAR else y).value
     outward = (1.0 - d.rr[side.sup][x]) / d.r
     return -1.0 + outward if side is Side.RIGHT else -outward
@@ -335,7 +335,7 @@ def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
     Lower bound for the right boundary, upper bound for the left one.
     """
     if d.r <= 0.0:
-        raise ZeroDivisionError("asymptotic bound undefined when r = 0")
+        raise ValueError("drift analysis requires r > 0")
     gamma = gamma_table(d, side)
     i = side.sup
     lo = min(d.rr[i][0], d.rr[i][1])

@@ -33,37 +33,33 @@ def increment_law(d: DerivedParams, side: Side, y: BState) -> AtomLaw:
     worst = worst_state(d, side)
     x = (worst if y is BState.STAR else y).value
     p, q, r = d.p, d.q, d.r
-    r0, q0, p0 = d.rr[0][x], d.qq[0][x], d.pp[0][x]
-    r1, q1, p1 = d.rr[1][x], d.qq[1][x], d.pp[1][x]
-    if side is Side.RIGHT:
-        head = (
-            (-1, BState.STAR, r1 * r0),
-            (-1, BState.ZERO, q1 * r0),
-            (-1, BState.ONE, p1 * r0),
-            (0, BState.ZERO, q0 * r),
-            (0, BState.ONE, p0 * r),
-        )
-        base, slope, stay = 1, 1, r0
-    else:
-        # Left boundary: the cell just above the boundary has both parents
-        # inside the island, so it never turns back into ?; the boundary
-        # never retreats (max delta = 0) and the island keeps sliding left.
-        head = (
-            (0, BState.STAR, r0 * r1),
-            (0, BState.ZERO, q0 * r1),
-            (0, BState.ONE, p0 * r1),
-            (-1, BState.ZERO, q1 * r),
-            (-1, BState.ONE, p1 * r),
-        )
-        base, slope, stay = -2, -1, r1
+    a, b = side.sup, 1 - side.sup
+    ra, qa, pa = d.rr[a][x], d.qq[a][x], d.pp[a][x]
+    rb, qb, pb = d.rr[b][x], d.qq[b][x], d.pp[b][x]
     ratio = 1.0 - r
+    # The right boundary's law, in superscripts a = side.sup and b = 1 - a.
+    head = (
+        (-1, BState.STAR, rb * ra),
+        (-1, BState.ZERO, qb * ra),
+        (-1, BState.ONE, pb * ra),
+        (0, BState.ZERO, qa * r),
+        (0, BState.ONE, pa * r),
+    )
     moves = tuple((delta, 0, s.value,
                    worst.value if s is BState.STAR else s.value, prob)
                   for delta, s, prob in head)
-    moves += tuple((base, slope, s.value, s.value, w / (1.0 - ratio))
-                   for s, w in ((BState.ZERO, (1.0 - stay) * q * r),
-                                (BState.ONE, (1.0 - stay) * p * r))
+    moves += tuple((1, 1, s.value, s.value, w / (1.0 - ratio))
+                   for s, w in ((BState.ZERO, (1.0 - ra) * q * r),
+                                (BState.ONE, (1.0 - ra) * p * r))
                    if w > 0.0)
+    if side is Side.LEFT:
+        # Cell k reads cells (k, k+1) of the row below, so the mirror image
+        # of the right boundary's move delta is -1 - delta, not -delta: the
+        # cell just above the left boundary has both parents inside the
+        # island and never turns back into ?, so the boundary never
+        # retreats (max delta = 0) and the island keeps sliding left.
+        moves = tuple((-1 - base, -slope, *rest)
+                      for base, slope, *rest in moves)
     law = AtomLaw(moves, ratio)
     assert abs(law.total_mass() - 1.0) <= 64 * TOL_IDENTITY
     return law

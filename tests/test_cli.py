@@ -228,6 +228,13 @@ class TestSweepVolume:
         ("volume", "--samples", "1000", "--format", "csv"),
         ("volume", "--samples", "1000"),
         ("crossover",),
+        ("derive", "--ca", "0011", "--eps", "0.1"),
+        ("check", "--params", "0.8,0.3,0.5,0.6"),
+        ("gamma", "--ca", "0010", "--eps", "0.2"),
+        ("chain", "--params", "0.8,0.3,0.5,0.6", "--side", "left"),
+        ("drift", "--params", "0.8,0.3,0.5,0.6", "--mc-steps", "300"),
+        ("ca1000", "--eps", "0.2", "--mc-steps", "300"),
+        ("ca1000", "--grid", "0.1,0.2", "--mc-steps", "200"),
     ])
     def test_stdout_bytes_equal_out_file(self, capsys, tmp_path, argv):
         code, out, _ = run(capsys, *argv)
@@ -241,6 +248,20 @@ class TestSweepVolume:
         assert code == EXIT_OK
         assert out.encode() == (ROOT / "artifacts"
                                 / "ca_crossover.json").read_bytes()
+
+    @pytest.mark.parametrize("cfg, argv", [
+        (None, ("sweep", "--codes", "", "--grid", "0.1")),
+        ({"codes": []}, ("sweep", "--grid", "0.1")),
+    ], ids=["empty --codes", "empty codes in config"])
+    def test_empty_codes_name_no_rule(self, capsys, tmp_path, cfg, argv):
+        # not the default of all 16 rules
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            argv = ("--config", str(path), *argv)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and err == "error: CA code '' is not a 4-bit word\n"
 
     def test_sweep_grid_validation(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0.0,0.1")
@@ -479,6 +500,7 @@ MALFORMED = [
     ("sweep", "--grid", "abc"),
     ("sweep", "--grid", "nan"),
     ("sweep", "--codes", "2222", "--grid", "0.1"),
+    ("sweep", "--codes", "", "--grid", "0.1"),
     ("volume", "--samples", "0"),
     ("volume", "--samples", "10", "--seed", "-1"),
     ("volume", "--samples", "10", "--format", "xml"),

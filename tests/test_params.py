@@ -219,8 +219,10 @@ class TestMeanIncrement:
 
     def test_rejects_r_zero(self):
         d = derive(ParamQuad(0.4, 0.4, 0.4, 0.4))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="requires r > 0"):
             mean_increment(d, Side.RIGHT, BState.ZERO)
+        with pytest.raises(ValueError, match="requires r > 0"):
+            asymptotic_increment_bound(d, Side.LEFT)
 
 
 class TestAsymptoticBound:
