@@ -6,7 +6,8 @@ The condition's formulas are written once: the derived quantities
 (`_GAMMA_CELLS`; state 1 reads them through the 0<->1 exchange) and the
 right-hand side (`_rhs`).  Two drivers run them: the scalar API (`derive`,
 `gamma_table`, `condition_check`) on plain floats and small dataclasses, and
-`condition_holds_batch` on numpy columns, for sweeps.
+`condition_holds_batch` on numpy columns, for sweeps.  The scalar driver
+runs on `Fraction`s too, and then every answer is exact (see `derive`).
 """
 from __future__ import annotations
 
@@ -95,14 +96,14 @@ def ca_with_error(code: str | int, eps: float) -> ParamQuad:
             raise ValueError(f"CA code {code!r} is not a 4-bit word")
     if not (0.0 <= eps <= 0.5):
         raise ValueError(f"eps={eps!r} must lie in [0, 1/2]")
-    vals = tuple(1.0 - eps if b == "1" else eps for b in bits)
+    vals = tuple(1 - eps if b == "1" else eps for b in bits)
     return ParamQuad(*vals)
 
 
 def flip_conjugate(quad: ParamQuad) -> ParamQuad:
     """Parameter of the PCA conjugated by the global 0<->1 exchange."""
-    return ParamQuad(1.0 - quad.p11, 1.0 - quad.p10,
-                     1.0 - quad.p01, 1.0 - quad.p00)
+    return ParamQuad(1 - quad.p11, 1 - quad.p10,
+                     1 - quad.p01, 1 - quad.p00)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +130,7 @@ class DerivedParams:
         i = side.sup
         Q = min(self.QQ[i][0], self.QQ[i][1])
         P = min(self.PP[i][0], self.PP[i][1])
-        return (Q, P, 1.0 - Q - P)
+        return (Q, P, 1 - Q - P)
 
 
 def _grid(f):
@@ -145,17 +146,17 @@ def _derived(p00, p01, p10, p11, lo, hi):
     `DerivedParams` after `quad`: (p, q, r, pp, qq, rr, PP, QQ, RR).
     """
     p = lo(lo(p00, p01), lo(p10, p11))
-    q = 1.0 - hi(hi(p00, p01), hi(p10, p11))
-    r = 1.0 - p - q
+    q = 1 - hi(hi(p00, p01), hi(p10, p11))
+    r = 1 - p - q
     # i = 0: left parent known to be x, right parent free;
     # i = 1: right parent known to be x, left parent free.
     pairs = (((p00, p01), (p10, p11)), ((p00, p10), (p01, p11)))
     pp = _grid(lambda i, x: lo(*pairs[i][x]))
-    qq = _grid(lambda i, x: 1.0 - hi(*pairs[i][x]))
-    rr = _grid(lambda i, x: 1.0 - pp[i][x] - qq[i][x])
+    qq = _grid(lambda i, x: 1 - hi(*pairs[i][x]))
+    rr = _grid(lambda i, x: 1 - pp[i][x] - qq[i][x])
     # P^(i)_x from pp and p, Q^(i)_x from qq and q, by one formula.
     mix = lambda m, whole: _grid(
-        lambda i, x: r * m[i][x] + (1.0 - rr[i][x]) * whole + rr[i][x] * m[1 - i][x])
+        lambda i, x: r * m[i][x] + (1 - rr[i][x]) * whole + rr[i][x] * m[1 - i][x])
     PP = mix(pp, p)
     QQ = mix(qq, q)
     RR = (rr[0][0] * rr[1][0], rr[0][1] * rr[1][1])
@@ -163,7 +164,24 @@ def _derived(p00, p01, p10, p11, lo, hi):
 
 
 def derive(quad: ParamQuad) -> DerivedParams:
-    """Compute every derived quantity of a parameter quadruplet."""
+    """Compute every derived quantity of a parameter quadruplet.
+
+    The formulas hold no float constant, so a quad of `Fraction`s gives
+    exact results here and in `boundary_chain`, `stationary_solve`,
+    `gamma_table`, `condition_check`, `mean_increment` and
+    `asymptotic_increment_bound` (only the r = 0 report keeps float
+    constants); `ca_with_error` and `flip_conjugate` keep such a quad
+    exact.  At eps = 1/6 rule 0110's margin lhs - rhs is exactly 0; floats
+    put it at -2.2e-16:
+
+    >>> from fractions import Fraction
+    >>> rep = condition_check(derive(ca_with_error("0110", Fraction(1, 6))))
+    >>> rep.lhs - rep.rhs, rep.holds
+    (Fraction(0, 1), False)
+    >>> rep = condition_check(derive(ca_with_error("0110", 1 / 6)))
+    >>> rep.lhs - rep.rhs, rep.holds
+    (-2.220446049250313e-16, False)
+    """
     return DerivedParams(quad, *_derived(*quad.as_tuple(), min, max))
 
 
@@ -171,7 +189,7 @@ def derive(quad: ParamQuad) -> DerivedParams:
 class BoundaryChain:
     """3x3 transition matrix of the boundary-state chain, rows Zero/One/Star."""
 
-    rows: np.ndarray  # shape (3, 3), float
+    rows: np.ndarray  # shape (3, 3), float (object for Fraction entries)
 
     def __post_init__(self):
         sums = self.rows.sum(axis=1)
@@ -204,7 +222,7 @@ def tree_weights(rows) -> tuple[float, float, float]:
     1985) written out for 3 states.
     Entries that rounding left slightly negative count as 0.
     """
-    (_, m01, m02), (m10, _, m12), (m20, m21, _) = np.maximum(rows, 0.0).tolist()
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = np.maximum(rows, 0).tolist()
     return (m10 * m20 + m12 * m20 + m21 * m10,
             m01 * m21 + m02 * m21 + m20 * m01,
             m02 * m12 + m01 * m12 + m10 * m02)
@@ -232,15 +250,15 @@ def stationary_solve(chain: BoundaryChain,
     w0, w1, w2 = tree_weights(chain.rows)
     if w0 + w1 + w2 == 0.0:
         (_, _, m02), (_, _, m12), (m20, m21, _) = \
-            np.maximum(chain.rows, 0.0).tolist()
+            np.maximum(chain.rows, 0).tolist()
         if m20 == m21 == 0.0:
-            w0, w1, w2 = 0.0, 0.0, 1.0
+            w0, w1, w2 = 0, 0, 1
         elif m20 > 0.0 and m02 > 0.0:
-            w0, w1, w2 = m20, 0.0, m02
+            w0, w1, w2 = m20, 0, m02
         elif m21 > 0.0 and m12 > 0.0:
-            w0, w1, w2 = 0.0, m21, m12
+            w0, w1, w2 = 0, m21, m12
         else:
-            w0, w1, w2 = m20, m21, 0.0
+            w0, w1, w2 = m20, m21, 0
     total = w0 + w1 + w2
     return {BState.ZERO: w0 / total, BState.ONE: w1 / total,
             BState.STAR: w2 / total}
@@ -276,14 +294,14 @@ def worst_state(d: DerivedParams, side: Side) -> BState:
 _GAMMA_CELLS = (
     (("w0/Q1<=Q0", "w1/P0<=P1"),
      lambda Q0, Q1, P0, P1: Q1 <= Q0,
-     lambda Q0, Q1, P0, P1: (Q1, 1.0 - (Q0 - Q1))),
+     lambda Q0, Q1, P0, P1: (Q1, 1 - (Q0 - Q1))),
     (("w0/Q1>=Q0,P0<=P1", "w1/P0>=P1,Q1<=Q0"),
      lambda Q0, Q1, P0, P1: (Q1 >= Q0) & (P0 <= P1),
-     lambda Q0, Q1, P0, P1: (Q1 * P0 + Q0 * (1.0 - P1), 1.0 - (P1 - P0))),
+     lambda Q0, Q1, P0, P1: (Q1 * P0 + Q0 * (1 - P1), 1 - (P1 - P0))),
     (("w0/Q1>=Q0,P0>=P1", "w1/P0>=P1,Q1>=Q0"),
      lambda Q0, Q1, P0, P1: (Q1 >= Q0) & (P0 >= P1),
      lambda Q0, Q1, P0, P1: (Q0 + P1 * (Q1 - Q0),
-                             1.0 - (Q1 - Q0) * (P0 - P1))),
+                             1 - (Q1 - Q0) * (P0 - P1))),
 )
 
 
@@ -325,8 +343,8 @@ def mean_increment(d: DerivedParams, side: Side, y: BState) -> float:
     if d.r <= 0.0:
         raise ValueError("drift analysis requires r > 0")
     x = (worst_state(d, side) if y is BState.STAR else y).value
-    outward = (1.0 - d.rr[side.sup][x]) / d.r
-    return -1.0 + outward if side is Side.RIGHT else -outward
+    outward = (1 - d.rr[side.sup][x]) / d.r
+    return -1 + outward if side is Side.RIGHT else -outward
 
 
 def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
@@ -340,10 +358,10 @@ def asymptotic_increment_bound(d: DerivedParams, side: Side) -> float:
     i = side.sup
     lo = min(d.rr[i][0], d.rr[i][1])
     gap = abs(d.rr[i][0] - d.rr[i][1])
-    weighted = lo + (1.0 - gamma) * gap
+    weighted = lo + (1 - gamma) * gap
     if side is Side.RIGHT:
-        return -1.0 + 1.0 / d.r - weighted / d.r
-    return -1.0 / d.r + weighted / d.r
+        return -1 + 1 / d.r - weighted / d.r
+    return -1 / d.r + weighted / d.r
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,8 +389,8 @@ class ConditionReport:
 
 def _rhs(rr, gamma0, gamma1, lo):
     """Right-hand side of the condition 2 - r > rhs; `lo` as in `_derived`."""
-    return (lo(rr[0][0], rr[0][1]) + (1.0 - gamma0) * abs(rr[0][0] - rr[0][1])
-            + lo(rr[1][0], rr[1][1]) + (1.0 - gamma1) * abs(rr[1][0] - rr[1][1]))
+    return (lo(rr[0][0], rr[0][1]) + (1 - gamma0) * abs(rr[0][0] - rr[0][1])
+            + lo(rr[1][0], rr[1][1]) + (1 - gamma1) * abs(rr[1][0] - rr[1][1]))
 
 
 def condition_check(d: DerivedParams) -> ConditionReport:
@@ -383,7 +401,7 @@ def condition_check(d: DerivedParams) -> ConditionReport:
                                holds=True, drift_bound=math.inf)
     gamma0 = gamma_table(d, Side.RIGHT)
     gamma1 = gamma_table(d, Side.LEFT)
-    lhs = 2.0 - d.r
+    lhs = 2 - d.r
     rhs = _rhs(d.rr, gamma0, gamma1, min)
     # The right bound minus the left one is (lhs - rhs) / r algebraically;
     # taking it from the margin keeps its sign that of `holds`.

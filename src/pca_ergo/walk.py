@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,24 @@ def creation_states(d: DerivedParams, rng: np.random.Generator) -> list:
             for _ in range(2)]
 
 
+def _leaves_int64(i: int, j: int, di, dj, until_gap: int | None):
+    """Index in a pass of the first step after which a position or the gap
+    lies outside int64 while the island still runs, or None: the pass summed
+    in Python ints."""
+    ii = i + np.cumsum(di, dtype=object)
+    jj = j + np.cumsum(dj, dtype=object)
+    gap = jj - ii
+    outside = np.flatnonzero(np.any([(v < -2 ** 63) | (v >= 2 ** 63)
+                                     for v in (ii, jj, gap)], axis=0))
+    stop = gap < 3
+    if until_gap is not None:
+        stop |= gap >= until_gap
+    ends = np.flatnonzero(stop)
+    if outside.size and not (ends.size and ends[0] < outside[0]):
+        return int(outside[0])
+    return None
+
+
 def simulate_island(d: DerivedParams, n0: int, horizon: int,
                     seed: int, until_gap: int | None = None) -> Trajectory:
     """Trajectory of one island started with gap n0, until death or horizon:
@@ -130,7 +149,8 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     Both boundaries are stepped side by side in passes of whole
     `chain.BLOCK`-step blocks, one block on the first pass, then doubling up
     to `chain.GROUP`, so an island that dies young draws one block; the
-    draws after the last state are discarded.
+    draws after the last state are discarded.  ValueError when a boundary
+    position or the gap would leave int64 before the trajectory ends.
     """
     if n0 < 3:
         raise ValueError("initial gap must be >= 3")
@@ -144,6 +164,11 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     left = AtomChain(*_class_laws(d, Side.LEFT))
     right = AtomChain(*_class_laws(d, Side.RIGHT))
     cx, cy = x.value, y.value
+    # a step moves a boundary by at most 2 + K cells (the laws' bases lie
+    # in [-2, 1] and their slopes are +-1), and K <= 36.74 / |log ratio|
+    # since y <= 1 - 2**-53 gives log1p(-y) >= -53 log 2
+    log_ratio = left.log_ratio
+    step = 2 + (0 if log_ratio is None else math.floor(37 / -log_ratio))
     t, i, j = 0, 0, n0
     done = until_gap is not None and n0 >= until_gap
     g = 1
@@ -152,6 +177,13 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
         (lx, ly), (rx, ry) = uniforms(rng, n, 2)
         di, xs, cx = left.run(lx, ly, cx, True)
         dj, ys, cy = right.run(rx, ry, cy, True)
+        # a pass that stays inside int64 even at the largest steps needs no
+        # check; only the others are summed in Python ints
+        if max(abs(i), abs(j), abs(j - i)) + 2 * n * step >= 2 ** 63:
+            out = _leaves_int64(i, j, di, dj, until_gap)
+            if out is not None:
+                raise ValueError(f"island positions leave the int64 range "
+                                 f"at step {t + out + 1}")
         ii = i + np.cumsum(di)
         jj = j + np.cumsum(dj)
         stop = jj - ii < 3

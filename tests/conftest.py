@@ -1,13 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pca_ergo import BState, ParamQuad
+from pca_ergo import BState, ParamQuad, derive
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 open_probs = st.floats(min_value=1e-3, max_value=1.0 - 1e-3, allow_nan=False)
+
+# 0, 1 and values 1e-15 .. 1e-4 from each end, where the formulas cancel
+NEAR = (0.0, 1e-15, 1e-9, 1e-4, 0.25)
+EDGES_11 = NEAR + (0.5,) + tuple(1.0 - v for v in reversed(NEAR))
 
 quads = st.builds(ParamQuad, probs, probs, probs, probs)
 positive_quads = st.builds(ParamQuad, open_probs, open_probs,
@@ -16,6 +21,11 @@ positive_quads = st.builds(ParamQuad, open_probs, open_probs,
 
 def random_quads(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, 4))
+
+
+def exact(quad):
+    """`derive` of the quad's entries as `Fraction`s: every result exact."""
+    return derive(ParamQuad(*map(Fraction, quad)))
 
 
 def truncated_expectation(law, mass_tol=1e-13):

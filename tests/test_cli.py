@@ -168,6 +168,12 @@ class TestSimulationCommands:
         assert code == EXIT_BAD_INPUT
         assert out == "" and "horizon" in err
 
+    def test_island_leaving_int64_is_bad_input(self, capsys):
+        # at r ~ 1e-15 the gap passes 2**63 within the default horizon
+        code, out, err = run(capsys, "island", "--params", "0,1e-15,0,0")
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_envelope_negative_max_steps_is_bad_input(self, capsys):
         code, out, err = run(capsys, "envelope", "--params",
                              "0.8,0.3,0.5,0.6", "--max-steps", "-1")
@@ -480,6 +486,7 @@ MALFORMED = [
     ("island", "--params", "0.8,0.3,0.5,0.6", "--gap", "2"),
     ("island", "--params", "0,1,0,1"),
     ("island", "--params", "0.8,0.3,0.5,0.6", "--horizon", "-1"),
+    ("island", "--params", "0,1e-15,0,0"),
     ("envelope", "--params", "0.8,0.3,0.5,0.6", "--max-steps", "-1"),
     ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "-4"),
     ("envelope", "--params", "0.8,0.3,0.5,0.6", "--cells", "0",

@@ -14,13 +14,10 @@ from pca_ergo.params import (BoundaryChain, _CHUNK_ROWS,
                              _holds_chunk, condition_holds_batch,
                              favourable_state)
 
-from conftest import positive_quads, quads, random_quads
+from conftest import EDGES_11, exact, positive_quads, quads, random_quads
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 EPS_GRID = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-# 0, 1 and values 1e-15 .. 1e-4 from each end, where the formulas cancel
-NEAR = (0.0, 1e-15, 1e-9, 1e-4, 0.25)
-EDGES_11 = NEAR + (0.5,) + tuple(1.0 - v for v in reversed(NEAR))
 
 
 class TestDerive:
@@ -307,6 +304,39 @@ class TestConditionCheck:
         except DegenerateDenominatorError:
             return
         assert a.holds == b.holds
+
+    # The 11^4 lattice quads whose float verdict the 0<->1 exchange changes.
+    FLOAT_EXCHANGE_FLIPS = [
+        (1e-15, 0.999999999999999, 0.999999999999999, 0.999999999),
+        (1e-9, 0.9999, 0.999999999, 0.999999999),
+        (1e-9, 0.999999999, 0.9999, 0.999999999),
+    ]
+
+    def test_exact_verdict_is_symmetric_at_the_edges(self):
+        """The 0<->1 exchange and the left-right mirror keep the exact
+        margin, verdict and degeneracy; the mirror swaps gamma0 and gamma1."""
+        def report(d):
+            try:
+                return condition_check(d)
+            except DegenerateDenominatorError:
+                return None
+
+        lattice = itertools.product((0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0),
+                                    repeat=4)
+        n_degenerate = 0
+        for q in itertools.chain(lattice, self.FLOAT_EXCHANGE_FLIPS):
+            d = exact(q)
+            a = report(d)
+            b = report(derive(flip_conjugate(d.quad)))
+            m = report(exact((q[0], q[2], q[1], q[3])))
+            if a is None:
+                assert b is None and m is None, q
+                n_degenerate += 1
+                continue
+            assert (b.lhs, b.rhs, b.holds) == (a.lhs, a.rhs, a.holds), q
+            assert (m.lhs, m.rhs, m.holds) == (a.lhs, a.rhs, a.holds), q
+            assert (m.gamma0, m.gamma1) == (a.gamma1, a.gamma0), q
+        assert n_degenerate == 18
 
 
 EDGE_VALUES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)

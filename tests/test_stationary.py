@@ -3,7 +3,7 @@
 The oracle works in `Fraction`s and finds the limit law from Star by
 Gaussian elimination: the stationary law of each closed class, weighted by
 the probability of absorption into that class from Star.  It never uses the
-tree formula the solve is built on.
+tree formula the solve is built on, nor the gamma cells' case split.
 """
 import itertools
 from fractions import Fraction
@@ -11,10 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pca_ergo import BState, ParamQuad, Side, boundary_chain, derive
+from pca_ergo import (BState, DegenerateDenominatorError, ParamQuad, Side,
+                      boundary_chain, ca_with_error, derive, favourable_state,
+                      gamma_table)
 from pca_ergo.params import BoundaryChain, stationary_solve
 from pca_ergo.refined import (REACHABLE, S1, exact_refined_drift,
                               refined_law_00, refined_law_s1)
+
+from conftest import exact
 
 EDGE_VALUES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
 STAR = 2
@@ -93,6 +97,47 @@ def test_edge_lattice_matches_exact_oracle():
             several_closed += n_closed > 1
             _assert_matches(chain, law)
     assert several_closed == 52
+
+
+# The CA grid: every rule at eps = k/40 (k = 1..20), 1/6 and 1e-9.
+CA_EPS = ([Fraction(k, 40) for k in range(1, 21)]
+          + [Fraction(1, 6), Fraction(1, 10 ** 9)])
+
+
+@pytest.mark.parametrize("grid, n_pairs, n_degenerate", [
+    ("lattice", 4750, 26),
+    ("ca", 704, 0),
+])
+def test_exact_closed_forms_match_oracle_fed_exact_rows(grid, n_pairs,
+                                                         n_degenerate):
+    """On exact rows, the gamma cells and the tree-weight solve equal the
+    oracle's limit law from Star with `==`.  A gamma cell's denominator is
+    exactly 0 only on a chain with several closed classes, where no closed
+    form is owed: 26 lattice quads, where floats flag 38."""
+    if grid == "lattice":
+        cases = [exact(q) for q in itertools.product(EDGE_VALUES, repeat=4)]
+    else:
+        cases = [derive(ca_with_error(code, eps))
+                 for code in range(16) for eps in CA_EPS]
+    pairs, degenerate = 0, 0
+    for d in cases:
+        raised = False
+        for side in Side:
+            chain = boundary_chain(d, side)
+            law, n_closed = exact_limit_from_star(chain.rows)
+            nu = stationary_solve(chain)
+            assert [nu[s] for s in BState] == law, (d.quad, side)
+            try:
+                gamma = gamma_table(d, side)
+            except DegenerateDenominatorError:
+                assert n_closed > 1, (d.quad, side)
+                raised = True
+                continue
+            assert gamma == law[favourable_state(d, side).value], \
+                (d.quad, side)
+            pairs += 1
+        degenerate += raised
+    assert (pairs, degenerate) == (n_pairs, n_degenerate)
 
 
 @pytest.mark.parametrize("rows", [

@@ -13,7 +13,7 @@ from pca_ergo.walk import (creation_states, empirical_drift,
                            exact_simulated_drift, increment_law,
                            simulate_island, trajectory_to_csv)
 
-from conftest import (law_probs, random_quads, sample_increment,
+from conftest import (EDGES_11, law_probs, random_quads, sample_increment,
                       truncated_expectation)
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
@@ -251,6 +251,29 @@ class TestIsland:
                 assert got == list(want), (horizon, seed)
                 lengths.add(len(traj.i) - 1)
         assert max(lengths) > BLOCK
+
+    def test_positions_leaving_int64_are_an_error(self):
+        # at r ~ 1e-15 a step moves ~1/r cells, so the gap passes 2**63
+        # within 10^4 steps but not within 2000
+        lattice = (derive(ParamQuad(*q))
+                   for q in itertools.product(EDGES_11, repeat=4))
+        tiny = [d for d in lattice if 0.0 < d.r < 1e-14]
+        assert len(tiny) == 28
+        for seed, d in enumerate(tiny):
+            with pytest.raises(ValueError, match="int64 range at step"):
+                simulate_island(d, 3, 10 ** 4, seed)
+            traj = simulate_island(d, 3, 2000, seed)
+            got = [a.tolist() for a in (traj.i, traj.j, traj.x, traj.y)]
+            assert got == list(island_block_by_block(d, 3, 2000, seed))
+        # the error names the first state outside int64, as the Python-int
+        # reference loop finds it
+        for seed, d in enumerate(tiny[:4]):
+            i, j, _, _ = island_block_by_block(d, 3, 10 ** 4, seed)
+            out = next(t for t, (a, b) in enumerate(zip(i, j))
+                       if not all(-2 ** 63 <= v < 2 ** 63
+                                  for v in (a, b, b - a)))
+            with pytest.raises(ValueError, match=f"at step {out}$"):
+                simulate_island(d, 3, 10 ** 4, seed)
 
     def test_seed_determinism(self):
         d = derive(FIG1)
