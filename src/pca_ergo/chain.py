@@ -109,13 +109,6 @@ class AtomLaw:
             m += tail * self.ratio / (1.0 - self.ratio)
         return m
 
-    def state_marginal(self) -> dict:
-        """Total mass landing on each `to` label."""
-        out: dict = {}
-        for _, _, to, _, mass in self.moves:
-            out[to] = out.get(to, 0.0) + mass
-        return out
-
 
 def two_class_mean(law0: AtomLaw, law1: AtomLaw) -> float:
     """Stationary mean step of the chain that steps by law c from class c.
@@ -216,12 +209,6 @@ class AtomChain:
         for _ in range(self.passes):
             move += self.cum.take(move) <= xs
         return move
-
-    def block(self, rng: np.random.Generator, c0: int, n: int):
-        """One block of n steps from class c0, drawn alone: (displacements,
-        `to` labels, last class).  The per-block reference for `sample`."""
-        x, y = rng.random((2, n))
-        return self.run(x, y, c0, True)
 
     def sample(self, rng: np.random.Generator, c0: int, steps: int,
                burn_in: int = 0) -> np.ndarray:

@@ -134,12 +134,11 @@ def cmd_island(args, d) -> None:
 
 
 def cmd_envelope(args, d) -> None:
-    size = dict(n=args.cells, max_steps=args.max_steps, seed=args.seed)
+    rows = [] if args.pgm else None
+    hit, density = env.run_to_decorrelation(d, args.cells, args.max_steps,
+                                            args.seed, rows=rows)
     if args.pgm:
-        hit, density, rows = env.run_with_raster(d, **size)
         _write(args.pgm, *env.raster_to_pgm(rows))
-    else:
-        hit, density = env.run_to_decorrelation(d, **size)
     if args.out:
         try:
             _write(args.out, env.density_to_csv(density).encode())

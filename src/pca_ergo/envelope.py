@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams, ParamQuad, derive
+from .params import DerivedParams
 
 Q = 2  # cell code for ?; 0 and 1 are themselves
 
@@ -42,9 +42,6 @@ class RingState:
     @property
     def n(self) -> int:
         return len(self.cells)
-
-    def q_count(self) -> int:
-        return int(np.count_nonzero(self.cells == Q))
 
 
 def all_q_ring(n: int) -> RingState:
@@ -160,19 +157,11 @@ def _check_step(cells: np.ndarray, top, uniforms, what: str) -> None:
                          f"match a ring of shape {cells.shape[-1:]}")
 
 
-def pca_step(ring: RingState, quad: ParamQuad, uniforms: np.ndarray) -> RingState:
-    """One synchronous update of a binary ring: cell i looks at (i, i+1).
-
-    The envelope table steps it: at two known parents both thresholds are
-    p(a, b)."""
-    _check_step(ring.cells, 1, uniforms, "pca_step takes a binary ring")
-    one, zero = _envelope_table(derive(quad))
-    return RingState(cells=_step_cells(ring.cells, one, zero, uniforms))
-
-
 def envelope_step(ring: RingState, d: DerivedParams,
                   uniforms: np.ndarray) -> RingState:
-    """One update of the envelope ring via the threshold coupling."""
+    """One update of the envelope ring via the threshold coupling: cell i
+    looks at (i, i+1).  A binary ring steps as the PCA, since at two known
+    parents both thresholds are p(a, b)."""
     _check_step(ring.cells, Q, uniforms, "envelope cells must be 0, 1 or ?")
     one, zero = _envelope_table(d)
     return RingState(cells=_step_cells(ring.cells, one, zero, uniforms))
@@ -213,45 +202,33 @@ def coupled_step(triple: CoupledTriple, d: DerivedParams,
 
 
 def run_to_decorrelation(d: DerivedParams, n: int, max_steps: int, seed: int,
-                         *, _rows: list | None = None):
+                         rows: list | None = None):
     """Run the envelope from the all-? ring until no ? remains.
 
     Returns (hit_time or None, density) where density is the per-step
-    ?-density as exact (numerator, denominator) pairs.  `_rows`, when
-    given, receives each step's row as PGM bytes (see `run_with_raster`).
-    The seed is checked even when no step is drawn; max_steps must be
-    >= 0, and 0 gives the start ring alone.
+    ?-density as exact (numerator, denominator) pairs.  `rows`, when
+    given, receives the space-time raster in the same pass: one uint8 row
+    per density entry, cell 0 -> 255, 1 -> 0 and ? -> 128.  The seed is
+    checked even when no step is drawn; max_steps must be >= 0, and 0 gives
+    the start ring alone.
     """
     _checked_int("seed", seed, 128)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    ring = all_q_ring(n)
-    density = [(ring.q_count(), n)]
-    cells = ring.cells
+    density = [(n, n)]
+    cells = all_q_ring(n).cells
     one, zero = _envelope_table(d)
-    if _rows is not None:
-        _rows.append(_BYTE_MAP[cells])
+    if rows is not None:
+        rows.append(_BYTE_MAP[cells])
     for t in range(1, max_steps + 1):
         cells = _step_cells(cells, one, zero, step_uniforms(seed, t, n))
-        if _rows is not None:
-            _rows.append(_BYTE_MAP[cells])
+        if rows is not None:
+            rows.append(_BYTE_MAP[cells])
         k = int(np.count_nonzero(cells == Q))
         density.append((k, n))
         if k == 0:
             return t, density
     return None, density
-
-
-def run_with_raster(d: DerivedParams, n: int, max_steps: int, seed: int):
-    """`run_to_decorrelation` that also keeps the space-time raster.
-
-    One pass: returns (hit_time or None, density, rows), one uint8 row per
-    density entry with cell 0 -> 255, 1 -> 0 and ? -> 128.  The kernel
-    emits only those three codes, so the rows need no check.
-    """
-    rows: list = []
-    hit, density = run_to_decorrelation(d, n, max_steps, seed, _rows=rows)
-    return hit, density, rows
 
 
 def density_to_csv(density: list) -> str:

@@ -76,27 +76,18 @@ class ParamQuad:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)
 
-    def p(self, left: int, right: int) -> float:
-        return self.as_tuple()[2 * left + right]
 
-
-def ca_with_error(code: str | int, eps: float) -> ParamQuad:
+def ca_with_error(code: str, eps: float) -> ParamQuad:
     """Parameter of a deterministic rule whose output bit flips w.p. eps.
 
-    `code` is the 4-bit rule word b00 b01 b10 b11 (string like "1000" or an
-    int 0..15). Entries are eps where the bit is 0 and 1-eps where it is 1.
+    `code` is the 4-bit rule word b00 b01 b10 b11, a string like "1000".
+    Entries are eps where the bit is 0 and 1-eps where it is 1.
     """
-    if isinstance(code, int):
-        if not 0 <= code <= 15:
-            raise ValueError(f"CA code {code} out of range 0..15")
-        bits = f"{code:04b}"
-    else:
-        bits = str(code)
-        if len(bits) != 4 or any(c not in "01" for c in bits):
-            raise ValueError(f"CA code {code!r} is not a 4-bit word")
+    if len(code) != 4 or any(c not in "01" for c in code):
+        raise ValueError(f"CA code {code!r} is not a 4-bit word")
     if not (0.0 <= eps <= 0.5):
         raise ValueError(f"eps={eps!r} must lie in [0, 1/2]")
-    vals = tuple(1 - eps if b == "1" else eps for b in bits)
+    vals = tuple(1 - eps if b == "1" else eps for b in code)
     return ParamQuad(*vals)
 
 
@@ -169,10 +160,9 @@ def derive(quad: ParamQuad) -> DerivedParams:
     The formulas hold no float constant, so a quad of `Fraction`s gives
     exact results here and in `boundary_chain`, `stationary_solve`,
     `gamma_table`, `condition_check`, `mean_increment` and
-    `asymptotic_increment_bound` (only the r = 0 report keeps float
-    constants); `ca_with_error` and `flip_conjugate` keep such a quad
-    exact.  At eps = 1/6 rule 0110's margin lhs - rhs is exactly 0; floats
-    put it at -2.2e-16:
+    `asymptotic_increment_bound`; `ca_with_error` and `flip_conjugate` keep
+    such a quad exact.  At eps = 1/6 rule 0110's margin lhs - rhs is
+    exactly 0; floats put it at -2.2e-16:
 
     >>> from fractions import Fraction
     >>> rep = condition_check(derive(ca_with_error("0110", Fraction(1, 6))))
@@ -192,8 +182,10 @@ class BoundaryChain:
     rows: np.ndarray  # shape (3, 3), float (object for Fraction entries)
 
     def __post_init__(self):
+        # exact (object) rows sum to exactly 1, float rows to TOL_IDENTITY
         sums = self.rows.sum(axis=1)
-        if not np.allclose(sums, 1.0, rtol=0.0, atol=TOL_IDENTITY):
+        if not ((sums == 1).all() if self.rows.dtype == object else
+                np.allclose(sums, 1.0, rtol=0.0, atol=TOL_IDENTITY)):
             raise ValueError(f"chain rows do not sum to 1: {sums}")
 
 
@@ -309,28 +301,22 @@ def gamma_table(d: DerivedParams, side: Side) -> float:
     """Closed-form stationary mass of the favourable boundary state.
 
     The case split is on the ordering of r^(i)_0 vs r^(i)_1, then on the
-    orderings of Q^(i)_1 vs Q^(i)_0 and P^(i)_0 vs P^(i)_1.  Whenever a tie
-    makes several cells applicable their values agree algebraically; this is
-    asserted and the first is returned.
+    orderings of Q^(i)_1 vs Q^(i)_0 and P^(i)_0 vs P^(i)_1.  The first
+    applicable cell is taken, as in the batch kernel: tied cells agree
+    algebraically, and at r = 0 the first applies with denominator 1.
     """
     i = side.sup
     w = _favours_one(d.rr[i])
     QP = (d.QQ[i][0], d.QQ[i][1], d.PP[i][0], d.PP[i][1])
     if w:
         QP = QP[::-1]
-    values = []
     for names, applies, fraction in _GAMMA_CELLS:
         if applies(*QP):
-            num, den = fraction(*QP)
-            if den == 0.0:
-                raise DegenerateDenominatorError(names[int(w)])
-            values.append(num / den)
-    first = values[0]
-    for v in values[1:]:
-        if abs(v - first) > TOL_IDENTITY:
-            raise AssertionError(
-                f"tied gamma cells disagree: {values} for side {side}")
-    return first
+            break
+    num, den = fraction(*QP)
+    if den == 0:
+        raise DegenerateDenominatorError(names[int(w)])
+    return num / den
 
 
 def mean_increment(d: DerivedParams, side: Side, y: BState) -> float:
@@ -395,18 +381,16 @@ def _rhs(rr, gamma0, gamma1, lo):
 
 def condition_check(d: DerivedParams) -> ConditionReport:
     """Evaluate the sufficient ergodicity condition 2 - r > rhs."""
-    if d.r == 0.0:
-        # No division anywhere: all per-side remainders vanish too.
-        return ConditionReport(gamma0=1.0, gamma1=1.0, lhs=2.0, rhs=0.0,
-                               holds=True, drift_bound=math.inf)
     gamma0 = gamma_table(d, Side.RIGHT)
     gamma1 = gamma_table(d, Side.LEFT)
     lhs = 2 - d.r
     rhs = _rhs(d.rr, gamma0, gamma1, min)
     # The right bound minus the left one is (lhs - rhs) / r algebraically;
-    # taking it from the margin keeps its sign that of `holds`.
+    # taking it from the margin keeps its sign that of `holds`.  At r = 0
+    # every r^(i)_x is 0, so rhs = 0 and the bound is infinite.
+    drift_bound = math.inf if d.r == 0 else (lhs - rhs) / d.r
     return ConditionReport(gamma0=gamma0, gamma1=gamma1, lhs=lhs, rhs=rhs,
-                           holds=lhs > rhs, drift_bound=(lhs - rhs) / d.r)
+                           holds=lhs > rhs, drift_bound=drift_bound)
 
 
 def bisect_crossover(code: str) -> float:
@@ -457,8 +441,8 @@ def _holds_chunk(P: np.ndarray):
     _, _, r, _, _, rr, PP, QQ, _ = _derived(*P.T, np.minimum, np.maximum)
     g0, den0 = _gamma_batch(QQ[0], PP[0], rr[0])
     g1, den1 = _gamma_batch(QQ[1], PP[1], rr[1])
-    degenerate = ((den0 == 0.0) | (den1 == 0.0)) & (r > 0.0)
-    holds = np.where(r == 0.0, True, 2.0 - r > _rhs(rr, g0, g1, np.minimum))
+    degenerate = (den0 == 0.0) | (den1 == 0.0)
+    holds = 2.0 - r > _rhs(rr, g0, g1, np.minimum)
     return holds & ~degenerate, degenerate
 
 

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +50,9 @@ def epsilon_sweep(codes: list, grid: list) -> list:
             try:
                 rep = condition_check(derive(ca_with_error(code, eps)))
             except DegenerateDenominatorError as exc:
-                rows.append(SweepRow(str(code), eps, None, exc.cell))
+                rows.append(SweepRow(code, eps, None, exc.cell))
                 continue
-            rows.append(SweepRow(str(code), eps, rep))
+            rows.append(SweepRow(code, eps, rep))
     return rows
 
 
@@ -86,7 +85,7 @@ def sweep_rows_from_csv(text: str) -> list:
         raise ValueError(f"unexpected sweep header {header}")
     for rec in reader:
         if not rec:
-            continue  # blank line, e.g. the newline the CLI prints last
+            continue  # a blank line in hand-written input
         code, eps = rec[0], float(rec[1])
         if rec[2].startswith("error:"):
             rows.append(SweepRow(code, eps, None, rec[2][len("error:"):]))
@@ -181,10 +180,6 @@ class RenewalSummary:
     total_steps: list       # per run: island steps simulated, all attempts
     censored: int
     seed: int
-
-    @property
-    def median_attempts(self) -> float:
-        return statistics.median(self.attempts)
 
 
 def renewal_experiment(d, threshold: int, runs: int, seed: int,

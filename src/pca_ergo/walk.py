@@ -149,11 +149,12 @@ def simulate_island(d: DerivedParams, n0: int, horizon: int,
     Both boundaries are stepped side by side in passes of whole
     `chain.BLOCK`-step blocks, one block on the first pass, then doubling up
     to `chain.GROUP`, so an island that dies young draws one block; the
-    draws after the last state are discarded.  ValueError when a boundary
-    position or the gap would leave int64 before the trajectory ends.
+    draws after the last state are discarded.  ValueError when the start
+    gap lies outside [3, 2**63), or when a boundary position or the gap
+    would leave int64 before the trajectory ends.
     """
-    if n0 < 3:
-        raise ValueError("initial gap must be >= 3")
+    if not 3 <= n0 < 2 ** 63:
+        raise ValueError("initial gap must be >= 3 and < 2**63")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if d.r <= 0.0:

@@ -28,6 +28,27 @@ def exact(quad):
     return derive(ParamQuad(*map(Fraction, quad)))
 
 
+def prob_one(quad, left: int, right: int):
+    """p(left, right): the probability the child of (left, right) is 1."""
+    return quad.as_tuple()[2 * left + right]
+
+
+def state_marginal(law) -> dict:
+    """Total mass of a `chain.AtomLaw` landing on each `to` label."""
+    out: dict = {}
+    for _, _, to, _, mass in law.moves:
+        out[to] = out.get(to, 0.0) + mass
+    return out
+
+
+def chain_block(chain, rng: np.random.Generator, c0: int, n: int):
+    """One block of n steps of an `AtomChain` from class c0, drawn alone:
+    (displacements, `to` labels, last class).  The per-block reference for
+    `AtomChain.sample`."""
+    x, y = rng.random((2, n))
+    return chain.run(x, y, c0, True)
+
+
 def truncated_expectation(law, mass_tol=1e-13):
     """Independent oracle for `AtomLaw.mean`: sum the atoms, and each tail
     family term by term until its remaining mass drops below mass_tol."""

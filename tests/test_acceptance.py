@@ -20,7 +20,7 @@ from pca_ergo.refined import (exact_refined_drift, mean_00, mean_s1,
 from pca_ergo.sweep import volume_estimate
 from pca_ergo.walk import increment_law
 
-from conftest import random_quads
+from conftest import random_quads, state_marginal
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 
@@ -64,7 +64,7 @@ def test_criterion_1_algebraic_identities():
                 law = increment_law(d, side, s)
                 if abs(law.total_mass() - 1.0) > 1e-12:
                     failures.append(("law-mass", row))
-                marg = law.state_marginal()
+                marg = state_marginal(law)
                 chain_row = chain.rows[s.value]
                 for b, idx in ((BState.ZERO, 0), (BState.ONE, 1),
                                (BState.STAR, 2)):

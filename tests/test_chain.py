@@ -13,7 +13,7 @@ from pca_ergo import refined, walk
 from pca_ergo.chain import (BLOCK, GROUP, AtomChain, AtomLaw, _class_path,
                             two_class_mean)
 
-from conftest import law_probs
+from conftest import chain_block, law_probs
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 N_DRAWS = 10 ** 6
@@ -25,7 +25,7 @@ def chain_moves(chain, c0, from0, seed):
     rng = np.random.default_rng(seed)
     deltas, tos, c = [], [], c0
     for _ in range(N_DRAWS // BLOCK):
-        delta, to, c = chain.block(rng, c, BLOCK)
+        delta, to, c = chain_block(chain, rng, c, BLOCK)
         deltas.append(delta)
         tos.append(to)
     to = np.concatenate(tos)
@@ -118,7 +118,8 @@ def test_sample_matches_block_by_block_draws(total):
                 rng = np.random.default_rng(total + burn_in)
                 deltas, c = [], c0
                 for lo in range(0, total, BLOCK):
-                    delta, _, c = chain.block(rng, c, min(BLOCK, total - lo))
+                    delta, _, c = chain_block(chain, rng, c,
+                                                  min(BLOCK, total - lo))
                     deltas.append(delta)
                 got = chain.sample(np.random.default_rng(total + burn_in), c0,
                                    total - burn_in, burn_in)

@@ -42,6 +42,16 @@ class TestCheck:
         assert data["lhs"] == pytest.approx(1.2, abs=1e-12)
         assert data["rhs"] == pytest.approx(0.8, abs=1e-12)
 
+    @pytest.mark.parametrize("quad", [("--params", "0.4,0.4,0.4,0.4"),
+                                      ("--ca", "0110", "--eps", "0.5"),
+                                      ("--params", "0.8,0.3,0.5,0.6")])
+    def test_gammas_are_those_of_the_gamma_command(self, capsys, quad):
+        # r = 0 included: both commands report the favourable-state mass
+        _, out, _ = run(capsys, "check", *quad)
+        checked = json.loads(out)
+        _, out, _ = run(capsys, "gamma", *quad)
+        assert {k: checked[k] for k in ("gamma0", "gamma1")} == json.loads(out)
+
     def test_constant_rule_reports_inf(self, capsys):
         code, out, _ = run(capsys, "check", "--ca", "0000", "--eps", "0.3")
         assert code == EXIT_OK
@@ -466,6 +476,8 @@ class TestOneParser:
 # Malformed or extreme input for every subcommand: each must end in a
 # documented exit code, never in a traceback.
 MALFORMED = [
+    ("island", "--params", "0.8,0.3,0.5,0.6", "--gap", str(10 ** 20),
+     "--horizon", "0"),
     ("derive", "--params", "0.1,0.2"),
     ("derive", "--params", "a,b,c,d"),
     ("check", "--params", "nan,0,0,0"),

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from pca_ergo import ParamQuad, ca_with_error, derive
 from pca_ergo.envelope import (_BLOCK, Q, CoupledTriple, RingState, all_q_ring,
                                coupled_step, density_to_csv, envelope_step,
-                               pca_step, raster_to_pgm, read_pgm,
-                               run_to_decorrelation, run_with_raster,
+                               raster_to_pgm, read_pgm, run_to_decorrelation,
                                step_uniforms)
 from pca_ergo.params import condition_holds_batch
 
-from conftest import quads
+from conftest import prob_one, quads
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 
@@ -25,26 +24,32 @@ def exact_two_cell_marginals(quad, state):
     """For a ring of length 2 with cells (a, b), each new cell is an
     independent Bernoulli: cell0 ~ Bern(p(a,b)), cell1 ~ Bern(p(b,a))."""
     a, b = state
-    return quad.p(a, b), quad.p(b, a)
+    return prob_one(quad, a, b), prob_one(quad, b, a)
+
+
+def q_count(ring):
+    return int(np.count_nonzero(ring.cells == Q))
 
 
 class TestPcaStep:
+    """A binary ring steps as the PCA through `envelope_step`."""
+
     def test_deterministic_limit_1000_eps0(self):
-        quad = ca_with_error("1000", 0.0)
+        d = derive(ca_with_error("1000", 0.0))
         zeros = RingState(np.zeros(8, dtype=np.int8))
-        out = pca_step(zeros, quad, step_uniforms(0, 0, 8))
+        out = envelope_step(zeros, d, step_uniforms(0, 0, 8))
         assert np.all(out.cells == 1)
         ones = RingState(np.ones(8, dtype=np.int8))
-        out = pca_step(ones, quad, step_uniforms(0, 0, 8))
+        out = envelope_step(ones, d, step_uniforms(0, 0, 8))
         assert np.all(out.cells == 0)
 
     def test_two_cell_ring_matches_exact_marginals(self):
-        n = 4000
+        n, d = 4000, derive(FIG1)
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             state = RingState(np.array([a, b], dtype=np.int8))
             hits = np.zeros(2)
             for step in range(n):
-                out = pca_step(state, FIG1, step_uniforms(123, step, 2))
+                out = envelope_step(state, d, step_uniforms(123, step, 2))
                 hits += out.cells
             p0, p1 = exact_two_cell_marginals(FIG1, (a, b))
             for freq, p in ((hits[0] / n, p0), (hits[1] / n, p1)):
@@ -53,11 +58,6 @@ class TestPcaStep:
     def test_rejects_short_ring(self):
         with pytest.raises(ValueError):
             RingState(np.zeros(1, dtype=np.int8))
-
-    def test_rejects_unknown_cells(self):
-        state = RingState(np.array([0, Q], dtype=np.int8))
-        with pytest.raises(ValueError):
-            pca_step(state, FIG1, step_uniforms(0, 0, 2))
 
     def test_counter_stream_determinism(self):
         assert np.array_equal(step_uniforms(5, 9, 6), step_uniforms(5, 9, 6))
@@ -145,7 +145,7 @@ def oracle_tables(d):
     one_t, zero_t = np.empty((3, 3)), np.empty((3, 3))
     for a in (0, 1):
         for b in (0, 1):
-            one_t[a, b] = zero_t[a, b] = d.quad.p(a, b)
+            one_t[a, b] = zero_t[a, b] = prob_one(d.quad, a, b)
         one_t[a, Q], zero_t[a, Q] = d.pp[0][a], 1.0 - d.qq[0][a]
         one_t[Q, a], zero_t[Q, a] = d.pp[1][a], 1.0 - d.qq[1][a]
     one_t[Q, Q], zero_t[Q, Q] = d.p, 1.0 - d.q
@@ -181,7 +181,7 @@ class TestKernelAgainstOracles:
             assert got.cells.dtype == np.int8
             assert np.array_equal(got.cells, oracle_envelope_cells(cells, d, u))
             binary = rng.integers(0, 2, 40).astype(np.int8)
-            got = pca_step(RingState(binary), quad, u)
+            got = envelope_step(RingState(binary), d, u)
             assert got.cells.dtype == np.int8
             assert np.array_equal(got.cells, oracle_pca_cells(binary, quad, u))
 
@@ -205,7 +205,8 @@ class TestKernelAgainstOracles:
             assert np.array_equal(got, oracle_envelope_cells(cells, d, uni))
             binary = np.repeat(known, len(u), axis=0).ravel()
             uni = np.tile(np.repeat(u, 2), len(known))
-            assert np.array_equal(pca_step(RingState(binary), quad, uni).cells,
+            assert np.array_equal(envelope_step(RingState(binary), d,
+                                                uni).cells,
                                   oracle_pca_cells(binary, quad, uni))
         # 1 - q rounds below p on part of the lattice: the clamp is exercised
         assert clamped > 0
@@ -243,7 +244,7 @@ class TestKernelAgainstOracles:
                 assert np.array_equal(out.copy_b.cells,
                                       oracle_pca_cells(b, quad, u))
                 u[edge] = on(one_t[a[edge], a[right]])
-                assert np.array_equal(pca_step(RingState(a), quad, u).cells,
+                assert np.array_equal(envelope_step(RingState(a), d, u).cells,
                                       oracle_pca_cells(a, quad, u))
 
 
@@ -256,7 +257,7 @@ class TestEnvelopeStep:
         for seed in range(n_seeds):
             out = envelope_step(all_q_ring(n_cells), d,
                                 step_uniforms(seed, 0, n_cells))
-            resolved += n_cells - out.q_count()
+            resolved += n_cells - q_count(out)
         p = d.p + d.q
         total = n_cells * n_seeds
         assert abs(resolved / total - p) <= 4 * np.sqrt(p * (1 - p) / total)
@@ -266,7 +267,7 @@ class TestEnvelopeStep:
         state = RingState(np.array([0, 1, 1, 0, 1, 0], dtype=np.int8))
         for step in range(20):
             state = envelope_step(state, d, step_uniforms(77, step, 6))
-            assert state.q_count() == 0
+            assert q_count(state) == 0
 
     @pytest.mark.parametrize("shape", [(1,), (2, 6)])
     def test_uniforms_must_match_the_ring(self, shape):
@@ -276,7 +277,7 @@ class TestEnvelopeStep:
         u = np.full(shape, 0.5)
         steps = (
             lambda: envelope_step(RingState(cells), derive(FIG1), u),
-            lambda: pca_step(RingState(binary), FIG1, u),
+            lambda: envelope_step(RingState(binary), derive(FIG1), u),
             lambda: coupled_step(CoupledTriple(RingState(cells),
                                                RingState(binary),
                                                RingState(binary)),
@@ -293,7 +294,6 @@ class TestEnvelopeStep:
         bad = RingState(np.array([0, 1, code, 0], dtype=np.int8))
         binary = RingState(np.array([0, 1, 1, 0], dtype=np.int8))
         steps = (lambda: envelope_step(bad, d, u),
-                 lambda: pca_step(bad, FIG1, u),
                  lambda: coupled_step(CoupledTriple(bad, binary, binary), d, u),
                  lambda: coupled_step(CoupledTriple(binary, bad, binary), d, u))
         for step in steps:
@@ -305,7 +305,7 @@ class TestEnvelopeStep:
         state = RingState(np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8))
         u = step_uniforms(3, 4, 8)
         assert np.array_equal(envelope_step(state, d, u).cells,
-                              pca_step(state, FIG1, u).cells)
+                              oracle_pca_cells(state.cells, FIG1, u))
 
 
 class TestCoupling:
@@ -343,7 +343,7 @@ class TestCoupling:
         triple.check_dominance()
         for step in range(500):
             triple = coupled_step(triple, d, step_uniforms(13, step, n))
-            if triple.envelope.q_count() == 0:
+            if q_count(triple.envelope) == 0:
                 assert np.array_equal(triple.copy_a.cells,
                                       triple.copy_b.cells)
                 return
@@ -363,8 +363,10 @@ class TestCoupling:
             out = coupled_step(triple, d, u)
             assert np.array_equal(out.envelope.cells,
                                   envelope_step(triple.envelope, d, u).cells)
-            assert np.array_equal(out.copy_a.cells, pca_step(triple.copy_a, quad, u).cells)
-            assert np.array_equal(out.copy_b.cells, pca_step(triple.copy_b, quad, u).cells)
+            for got, ring in ((out.copy_a, triple.copy_a),
+                              (out.copy_b, triple.copy_b)):
+                assert np.array_equal(got.cells,
+                                      envelope_step(ring, d, u).cells)
 
     def test_one_dominance_check_per_step(self, monkeypatch):
         calls = []
@@ -446,9 +448,9 @@ class TestDecorrelation:
 
     def test_rejects_negative_max_steps(self):
         d = derive(FIG1)
-        for run in (run_to_decorrelation, run_with_raster):
+        for rows in (None, []):
             with pytest.raises(ValueError, match="max_steps"):
-                run(d, n=8, max_steps=-1, seed=0)
+                run_to_decorrelation(d, n=8, max_steps=-1, seed=0, rows=rows)
         assert run_to_decorrelation(d, n=8, max_steps=0, seed=0) == \
             (None, [(8, 8)])
 
@@ -510,7 +512,8 @@ class TestRaster:
     def test_byte_mapping(self):
         # a failing rule at 6 cells shows 0, 1 and ? cells within 8 steps
         d = derive(ca_with_error("0110", 0.05))
-        hit, _, rows = run_with_raster(d, n=6, max_steps=8, seed=0)
+        rows = []
+        hit, _ = run_to_decorrelation(d, n=6, max_steps=8, seed=0, rows=rows)
         want = byte_rows(envelope_rings(d, 6, 8, 0))
         assert hit is None and len(rows) == 9
         assert all(r.dtype == np.uint8 for r in rows)
@@ -522,7 +525,8 @@ class TestRaster:
         (FIG1, 12, 0, 1)])
     def test_raster_is_the_decorrelation_run(self, quad, n, max_steps, seed):
         d = derive(quad)
-        hit, density, rows = run_with_raster(d, n, max_steps, seed)
+        rows = []
+        hit, density = run_to_decorrelation(d, n, max_steps, seed, rows=rows)
         assert (hit, density) == run_to_decorrelation(d, n, max_steps, seed)
         want = byte_rows(envelope_rings(d, n, len(density) - 1, seed))
         assert len(rows) == len(want)
@@ -532,7 +536,9 @@ class TestRaster:
     def test_pgm_round_trip(self, tmp_path):
         # a failing rule, so the ?-region outlives the 12 steps
         d = derive(ca_with_error("1000", 0.01))
-        hit, _, rows = run_with_raster(d, n=16, max_steps=12, seed=21)
+        rows = []
+        hit, _ = run_to_decorrelation(d, n=16, max_steps=12, seed=21,
+                                      rows=rows)
         assert hit is None
         img = np.stack(rows)
         assert img.shape == (13, 16)

@@ -13,8 +13,10 @@ from pca_ergo import (BState, DegenerateDenominatorError, ParamQuad, Side,
 from pca_ergo.params import (BoundaryChain, _CHUNK_ROWS,
                              _holds_chunk, condition_holds_batch,
                              favourable_state)
+from pca_ergo.sweep import ALL_CODES
 
-from conftest import EDGES_11, exact, positive_quads, quads, random_quads
+from conftest import (EDGES_11, exact, positive_quads, prob_one, quads,
+                      random_quads)
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 EPS_GRID = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -81,9 +83,6 @@ class TestCaWithError:
     def test_rule_1110(self):
         assert ca_with_error("1110", 0.2).as_tuple() == (0.8, 0.8, 0.8, 0.2)
 
-    def test_int_code(self):
-        assert ca_with_error(0b1000, 0.25).as_tuple() == (0.75, 0.25, 0.25, 0.25)
-
     def test_rejects_large_eps(self):
         with pytest.raises(ValueError):
             ca_with_error("0001", 0.6)
@@ -103,8 +102,8 @@ class TestFlipConjugate:
         q = FIG1
         fq = flip_conjugate(q)
         for a, b in itertools.product((0, 1), repeat=2):
-            p_orig = q.p(a, b)
-            p_flip_back = 1.0 - fq.p(1 - a, 1 - b)
+            p_orig = prob_one(q, a, b)
+            p_flip_back = 1.0 - prob_one(fq, 1 - a, 1 - b)
             assert p_orig == pytest.approx(p_flip_back, abs=1e-15)
 
     @given(quads)
@@ -123,6 +122,15 @@ class TestBoundaryChain:
         d = derive(ca_with_error("0000", 0.3))  # r = 0, all remainders 0
         rows = boundary_chain(d, Side.RIGHT).rows
         assert rows[0][2] == 0.0 and rows[1][2] == 0.0
+
+    def test_exact_rows_sum_to_exactly_one(self):
+        rows = [[Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)],
+                [Fraction(1), Fraction(0), Fraction(0)],
+                [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]]
+        BoundaryChain(rows=np.array(rows, dtype=object))
+        rows[2][2] += Fraction(1, 10 ** 15)
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            BoundaryChain(rows=np.array(rows, dtype=object))
 
     def test_rows_sum_to_one_randomised(self):
         for quad in random_quads(2000, seed=11):
@@ -246,10 +254,27 @@ class TestConditionCheck:
         assert rep.rhs == pytest.approx(0.8, abs=1e-12)
 
     def test_constant_parameter_r_zero_path(self):
-        rep = condition_check(derive(ParamQuad(0.3, 0.3, 0.3, 0.3)))
-        assert rep.holds and rep.lhs == 2.0 and rep.rhs == 0.0
-        assert math.isinf(rep.drift_bound)
-        assert rep.gamma0 == 1.0 and rep.gamma1 == 1.0
+        # r = 0 takes the general path: the gammas are gamma_table's, the
+        # stationary mass of the favourable state, in floats and exactly
+        lattice = [q for q in itertools.product(EDGES_11, repeat=4)
+                   if derive(ParamQuad(*q)).r == 0.0]
+        assert len(lattice) == 11
+        ca = [ca_with_error(code, 0.5).as_tuple() for code in ALL_CODES]
+        for q in lattice + ca:
+            for d in (derive(ParamQuad(*q)), exact(q)):
+                assert d.r == 0
+                rep = condition_check(d)
+                assert rep.holds and rep.lhs == 2 and rep.rhs == 0
+                assert math.isinf(rep.drift_bound)
+                for gamma, side in ((rep.gamma0, Side.RIGHT),
+                                    (rep.gamma1, Side.LEFT)):
+                    assert gamma == gamma_table(d, side)
+                    nu = stationary_solve(boundary_chain(d, side))
+                    mass = nu[favourable_state(d, side)]
+                    if isinstance(gamma, Fraction):
+                        assert gamma == mass, (q, side)
+                    else:
+                        assert gamma == pytest.approx(mass, rel=1e-15)
 
     def test_ca1000_small_eps_fails(self):
         assert not condition_check(derive(ca_with_error("1000", 0.01))).holds

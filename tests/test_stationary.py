@@ -14,11 +14,12 @@ import pytest
 from pca_ergo import (BState, DegenerateDenominatorError, ParamQuad, Side,
                       boundary_chain, ca_with_error, derive, favourable_state,
                       gamma_table)
-from pca_ergo.params import BoundaryChain, stationary_solve
+from pca_ergo.params import _GAMMA_CELLS, BoundaryChain, stationary_solve
 from pca_ergo.refined import (REACHABLE, S1, exact_refined_drift,
                               refined_law_00, refined_law_s1)
+from pca_ergo.sweep import ALL_CODES
 
-from conftest import exact
+from conftest import exact, state_marginal
 
 EDGE_VALUES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
 STAR = 2
@@ -118,7 +119,7 @@ def test_exact_closed_forms_match_oracle_fed_exact_rows(grid, n_pairs,
         cases = [exact(q) for q in itertools.product(EDGE_VALUES, repeat=4)]
     else:
         cases = [derive(ca_with_error(code, eps))
-                 for code in range(16) for eps in CA_EPS]
+                 for code in ALL_CODES for eps in CA_EPS]
     pairs, degenerate = 0, 0
     for d in cases:
         raised = False
@@ -138,6 +139,38 @@ def test_exact_closed_forms_match_oracle_fed_exact_rows(grid, n_pairs,
             pairs += 1
         degenerate += raised
     assert (pairs, degenerate) == (n_pairs, n_degenerate)
+
+
+def test_tied_gamma_cells_agree_exactly():
+    """Where a tie makes several gamma cells applicable, they give the same
+    exact gamma, and a zero denominator in one means zero in all, so
+    `gamma_table` loses nothing by taking the first applicable cell."""
+    quads = itertools.chain(
+        itertools.product(EDGE_VALUES, repeat=4),
+        (ca_with_error(code, eps).as_tuple()
+         for code in ALL_CODES for eps in CA_EPS),
+        itertools.product((0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0), repeat=4))
+    n_quads, tied = 0, 0
+    for q in quads:
+        d = exact(q)
+        n_quads += 1
+        for side in Side:
+            i = side.sup
+            QP = (d.QQ[i][0], d.QQ[i][1], d.PP[i][0], d.PP[i][1])
+            if favourable_state(d, side) is BState.ONE:
+                QP = QP[::-1]
+            cells = [fraction(*QP) for _, applies, fraction in _GAMMA_CELLS
+                     if applies(*QP)]
+            tied += len(cells) > 1
+            zero = {den == 0 for _, den in cells}
+            assert len(zero) == 1, (q, side)
+            if zero.pop():
+                with pytest.raises(DegenerateDenominatorError):
+                    gamma_table(d, side)
+            else:
+                gammas = {num / den for num, den in cells}
+                assert gammas == {gamma_table(d, side)}, (q, side)
+    assert (n_quads, tied) == (3378, 1860)
 
 
 @pytest.mark.parametrize("rows", [
@@ -182,7 +215,7 @@ def exact_refined_oracle(eps):
     n = len(states)
     m = [[Fraction(0)] * n for _ in range(n)]
     for a, s in enumerate(states):
-        for t, mass in laws[s].state_marginal().items():
+        for t, mass in state_marginal(laws[s]).items():
             m[a][t] += Fraction(mass)
         m[a][a] = 1 - sum(m[a][b] for b in range(n) if b != a)
     # nu (M - I) = 0 with the last balance equation replaced by sum = 1

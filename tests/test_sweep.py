@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 
@@ -135,7 +136,7 @@ class TestRenewal:
         d = derive(FIG1)
         summary = renewal_experiment(d, threshold=100, runs=30, seed=13)
         assert summary.censored == 0
-        assert summary.median_attempts <= 5
+        assert statistics.median(summary.attempts) <= 5
         assert len(summary.attempts) == len(summary.total_steps) == 30
         assert all(t > 0 for t in summary.total_steps)
 

@@ -13,8 +13,8 @@ from pca_ergo.walk import (creation_states, empirical_drift,
                            exact_simulated_drift, increment_law,
                            simulate_island, trajectory_to_csv)
 
-from conftest import (EDGES_11, law_probs, random_quads, sample_increment,
-                      truncated_expectation)
+from conftest import (EDGES_11, chain_block, law_probs, random_quads,
+                      sample_increment, state_marginal, truncated_expectation)
 
 FIG1 = ParamQuad(0.8, 0.3, 0.5, 0.6)
 EDGE_LATTICE = np.array(list(itertools.product(np.linspace(0.0, 1.0, 7),
@@ -45,8 +45,8 @@ def island_block_by_block(d, n0, horizon, seed, until_gap=None):
     done = until_gap is not None and n0 >= until_gap
     while len(i) - 1 < horizon and not done:
         n = min(BLOCK, horizon - (len(i) - 1))
-        di, tx, cx = left.block(rng, cx, n)
-        dj, ty, cy = right.block(rng, cy, n)
+        di, tx, cx = chain_block(left, rng, cx, n)
+        dj, ty, cy = chain_block(right, rng, cy, n)
         for k in range(n):
             i.append(i[-1] + int(di[k]))
             j.append(j[-1] + int(dj[k]))
@@ -63,7 +63,7 @@ def tree_weight_drift(d, side):
     """Reference oracle: stationary law of the 3-state marginal chain of the
     laws from 0, 1 and Star by the tree weights, against the law means."""
     laws = [increment_law(d, side, s) for s in BState]
-    rows = [[law.state_marginal()[t.value] for t in BState] for law in laws]
+    rows = [[state_marginal(law)[t.value] for t in BState] for law in laws]
     w = tree_weights(np.array(rows))
     if sum(w) == 0.0:
         raise ValueError("several closed classes")
@@ -110,7 +110,7 @@ class TestIncrementLaw:
             for side in Side:
                 chain = boundary_chain(d, side)
                 for s in (BState.ZERO, BState.ONE):
-                    marg = increment_law(d, side, s).state_marginal()
+                    marg = state_marginal(increment_law(d, side, s))
                     row = chain.rows[s.value]
                     for b, idx in ((BState.ZERO, 0), (BState.ONE, 1),
                                    (BState.STAR, 2)):
@@ -274,6 +274,17 @@ class TestIsland:
                                   for v in (a, b, b - a)))
             with pytest.raises(ValueError, match=f"at step {out}$"):
                 simulate_island(d, 3, 10 ** 4, seed)
+
+    def test_start_gap_outside_int64_is_an_error(self):
+        # rejected at the start, whatever the horizon, not as a wrapped or
+        # uint64 gap nor as an overflow at step 1
+        d = derive(FIG1)
+        for n0, horizon in ((10 ** 20, 0), (10 ** 19, 0), (10 ** 19, 10 ** 4),
+                            (2 ** 63, 0)):
+            with pytest.raises(ValueError, match="initial gap"):
+                simulate_island(d, n0, horizon, seed=0)
+        traj = simulate_island(d, 2 ** 63 - 1, 0, seed=0)
+        assert traj.j.dtype == np.int64 and traj.j.tolist() == [2 ** 63 - 1]
 
     def test_seed_determinism(self):
         d = derive(FIG1)
